@@ -14,8 +14,6 @@ from .bench import (
     gen_noisy_semi,
     gen_nonnegative,
     gen_semi_nonneg,
-    oracle_halfplane_2d,
-    oracle_rank1_grid,
     quality,
     quality_from_error,
     run_experiment,
@@ -80,8 +78,6 @@ __all__ = [
     "least_squares_left",
     "lift_rank_plus_one",
     "lp_feasibility",
-    "oracle_halfplane_2d",
-    "oracle_rank1_grid",
     "quality",
     "quality_from_error",
     "random_gaussian",

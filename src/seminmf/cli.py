@@ -31,8 +31,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .bench import (
     TrialConfig,
@@ -46,7 +44,7 @@ from .bench import (
 from .exceptions import NumericalError
 from .factors import semi_rank
 from .initializers import InitStrategy, initialize
-from .linalg import frob, least_squares_left, singular_values
+from .linalg import best_rank_error, frob, least_squares_left
 from .matio import read_matrix, write_matrix
 from .solver import cd_semi_nmf
 
@@ -111,8 +109,7 @@ def _cmd_factorize(args) -> int:
     init = initialize(M, args.rank, strat)
     fact, trace = cd_semi_nmf(M, init.V0, args.maxiter)
 
-    s = singular_values(M)
-    best = float(np.sqrt(np.sum(s[args.rank:] ** 2))) if args.rank < s.size else 0.0
+    best = best_rank_error(M, args.rank)
     fm = frob(M)
     qual = quality_from_error(fact.frob_error, best, fm)
     if init.bisection is not None:

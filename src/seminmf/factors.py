@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NumericalError
 from .halfspace import HalfspaceCertificate, lp_feasibility
 from .linalg import as_matrix, frob
 
@@ -119,6 +118,12 @@ def exact_semi_nmf_same_rank(A, B, y) -> Factorization:
     half-space certificate) and every row of B to have a positive
     maximum (arrange with ``sign_flip`` first).  Columns of B below the
     zero tolerance map to exactly zero columns of V.
+
+    alpha_i is the smallest nonnegative shift that clears row i of B on
+    the nonzero columns.  Any multiple c * alpha with c >= 1 keeps V >= 0,
+    because alpha_i x_j >= 0 there, and Sherman-Morrison keeps U @ V equal
+    to A @ B for every c.  So c = 1 unless |1 + y.alpha| < 1/2, where
+    c = 2 / |y.alpha| (which lies in (4/3, 4)) makes 1 + c y.alpha = -1.
     """
     A = as_matrix(A, "A")
     B = as_matrix(B, "B")
@@ -141,75 +146,15 @@ def exact_semi_nmf_same_rank(A, B, y) -> Factorization:
         xk = np.maximum(x[keep], X_FLOOR)
         alpha = np.maximum(0.0, (-B[:, keep] / xk).max(axis=1))
     ya = float(y @ alpha)
-    if abs(1.0 + ya) < 1e-12:
-        raise NumericalError(f"rank-one correction breakdown: y.alpha = {ya:.3e}")
+    if abs(1.0 + ya) < 0.5:
+        # near the Sherman-Morrison pole: c = 2 / |y.alpha| (see above)
+        alpha = (2.0 / abs(ya)) * alpha
+        ya = float(y @ alpha)
 
     V = B + np.outer(alpha, x)
     V[:, ~keep] = 0.0
     U = A - np.outer(A @ alpha, y) / (1.0 + ya)
     return make_factorization(A @ B, U, V)
-
-
-def _witness_candidates(B, y, keep):
-    """The witness itself, then deterministic retreats inside the feasibility cone.
-
-    The rank-one correction is singular exactly when y.alpha = -1, which
-    happens when a single all-nonpositive column attains every row's
-    alpha maximum.  Witnesses are non-unique: pulling y against another
-    negative column reshuffles the per-row maxima and escapes the
-    breakdown.  A fixed-seeded jitter sweep backs that up.
-    """
-    yield y
-    Bk = B[:, keep] if keep.any() else B
-    x = Bk.T @ y
-
-    # targeted: shrink the product on each column that carries negativity
-    for j in range(Bk.shape[1]):
-        if Bk[:, j].min() >= 0.0:
-            continue
-        w = Bk[:, j]
-        denom = Bk.T @ w
-        pos = denom > 1e-12
-        if not pos.any():
-            continue
-        tmax = 0.9 * float(np.min(x[pos] / denom[pos]))
-        for frac in (1.0, 0.5, 0.25):
-            cand = y - frac * tmax * w
-            if (Bk.T @ cand).min(initial=1.0) > 0.0:
-                yield cand
-
-    rng = np.random.Generator(np.random.PCG64(0x5EB1))
-    scale = float(np.linalg.norm(y)) or 1.0
-    for sigma in (0.01, 0.05, 0.2, 0.5):
-        for _ in range(32):
-            cand = y * (1.0 + sigma * rng.standard_normal()) + (
-                sigma * scale * rng.standard_normal(y.shape)
-            )
-            if (Bk.T @ cand).min(initial=1.0) > 0.0:
-                yield cand
-
-
-def _exact_same_rank_robust(A, B, y, keep):
-    """Rank-preserving construction with witness-jitter retry on breakdown."""
-    ab_norm = frob(A @ B)
-    tol = 1e-9 * max(ab_norm, 1e-300)
-    last_exc = None
-    best = None
-    for cand in _witness_candidates(B, y, keep):
-        try:
-            fact = exact_semi_nmf_same_rank(A, B, cand)
-        except (ValueError, NumericalError) as exc:
-            last_exc = exc
-            continue
-        if fact.frob_error <= tol:
-            return fact
-        if best is None or fact.frob_error < best.frob_error:
-            best = fact
-    if best is not None:
-        return best
-    raise NumericalError(
-        f"rank-preserving construction failed for every witness candidate: {last_exc}"
-    )
 
 
 @dataclass(frozen=True)
@@ -258,7 +203,7 @@ def semi_rank(M, zero_tol: float = ZERO_COL_TOL) -> SemiRankReport:
     if cert.feasible:
         Bc = B.copy()
         Bc[:, ~keep] = 0.0
-        inner = _exact_same_rank_robust(A, Bc, cert.z, keep)
+        inner = exact_semi_nmf_same_rank(A, Bc, cert.z)
         rs = r
     else:
         inner = lift_rank_plus_one(A, B)

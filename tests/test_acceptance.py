@@ -35,8 +35,6 @@ import pytest
 from seminmf.bench import (
     TrialConfig,
     gen_semi_nonneg,
-    oracle_halfplane_2d,
-    oracle_rank1_grid,
     quality_from_error,
     run_experiment,
 )
@@ -47,6 +45,8 @@ from seminmf.initializers import init_a2
 from seminmf.linalg import best_rank_error, random_gaussian, random_uniform
 from seminmf.matio import write_csv
 from seminmf.solver import cd_semi_nmf
+
+from oracles import oracle_halfplane_2d, oracle_rank1_grid
 
 TIGHT_2x3 = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
 ASYM_3x3 = np.array([[-1.0, 0.0, -1.0], [0.0, -1.0, -1.0], [1.0, 1.0, 2.0]])

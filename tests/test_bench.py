@@ -10,8 +10,6 @@ from seminmf.bench import (
     gen_noisy_semi,
     gen_nonnegative,
     gen_semi_nonneg,
-    oracle_halfplane_2d,
-    oracle_rank1_grid,
     quality,
     quality_from_error,
     run_experiment,
@@ -20,6 +18,8 @@ from seminmf.factors import semi_rank
 from seminmf.halfspace import halfspace_feasible
 from seminmf.linalg import best_rank_error, random_gaussian, truncated_svd
 from seminmf.solver import cd_semi_nmf
+
+from oracles import oracle_halfplane_2d, oracle_rank1_grid
 
 
 class TestQuality:

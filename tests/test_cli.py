@@ -33,6 +33,13 @@ class TestRank:
         assert "rank=4 semi_rank=4 feasible=true" in out
         assert "witness_z=" in out
 
+    def test_correction_pole_matrix(self, tmp_path, capsys):
+        # feasible, and the first rank-one correction sits on y.alpha = -1
+        p = tmp_path / "pole.csv"
+        write_csv(p, np.array([[-2.0, -1.0, 3.0, 3.0], [-3.0, -3.0, -3.0, 3.0]]))
+        assert main(["rank", str(p)]) == 0
+        assert "rank=2 semi_rank=2 feasible=true" in capsys.readouterr().out
+
     def test_zero_matrix(self, tmp_path, capsys):
         p = tmp_path / "zero.csv"
         write_csv(p, np.zeros((3, 4)))

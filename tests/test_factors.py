@@ -136,7 +136,31 @@ class TestExactSameRank:
             exact_semi_nmf_same_rank(A, B, np.array([1.0, 1.0]))
 
 
+# rank 2 with a feasible certificate, where the first correction lands on
+# y.alpha = -1 (the Sherman-Morrison pole) and alpha has to be scaled
+POLE_CASES = [
+    [[-2, -1, 3, 3], [-3, -3, -3, 3]],
+    [
+        [2, 4, -1, 1, 2, 1, 4],
+        [4, 2, 1, 2, 4, 2, 2],
+        [0, 2, -1, 0, 0, 0, 2],
+        [0, 2, -1, 0, 0, 0, 2],
+        [4, 4, 0, 2, 4, 2, 4],
+    ],
+]
+
+
 class TestSemiRank:
+    @pytest.mark.parametrize("rows", POLE_CASES)
+    def test_pole_of_the_correction_is_avoided(self, rows):
+        M = np.array(rows, dtype=float)
+        rep = semi_rank(M)
+        assert (rep.rank, rep.semi_rank) == (2, 2)
+        assert rep.certificate.feasible
+        assert rep.factorization.V.min() >= 0.0
+        err = np.linalg.norm(M - rep.factorization.U @ rep.factorization.V)
+        assert err <= 1e-9 * np.linalg.norm(M)
+
     def test_plane_spanning_fixture(self):
         rep = semi_rank(TIGHT_2x3)
         assert (rep.rank, rep.semi_rank) == (2, 3)
