@@ -175,16 +175,23 @@ def semi_rank(M, zero_tol: float = ZERO_COL_TOL) -> SemiRankReport:
     the rank-revealing right factor restricted to the nonzero columns of
     M; when it is feasible the factorization keeps the same inner
     dimension, otherwise the lift adds one.
+
+    The work is done on M / s, where s = 2**(e - 1) for max|M| = f * 2**e
+    with f in [1/2, 1).  The division is exact, so the rank, the
+    certificate and V do not depend on the scale of M, and column norms
+    neither underflow nor overflow; U and the error are scaled back by s.
     """
     M = as_matrix(M, "M")
     m, n = M.shape
+    s = float(np.ldexp(1.0, int(np.frexp(np.max(np.abs(M), initial=0.0))[1]) - 1))
+    M = M / s
     Uf, S, Vt = np.linalg.svd(M, full_matrices=False)
     cutoff = max(m, n) * RANK_RTOL * (S[0] if S.size else 0.0)
     r = int(np.sum(S > cutoff))
 
     if r == 0:
         cert = HalfspaceCertificate(feasible=True, z=np.ones(0), margin=np.inf)
-        fact = Factorization(U=np.zeros((m, 0)), V=np.zeros((0, n)), frob_error=frob(M))
+        fact = Factorization(U=np.zeros((m, 0)), V=np.zeros((0, n)), frob_error=frob(M) * s)
         return SemiRankReport(rank=0, semi_rank=0, certificate=cert, factorization=fact)
 
     A = Uf[:, :r] * S[:r]
@@ -211,6 +218,6 @@ def semi_rank(M, zero_tol: float = ZERO_COL_TOL) -> SemiRankReport:
     V = inner.V.copy()
     V[:, ~keep] = 0.0
     fact = Factorization(
-        U=inner.U, V=V, frob_error=frob(M - inner.U @ V), clamped=inner.clamped
+        U=inner.U * s, V=V, frob_error=frob(M - inner.U @ V) * s, clamped=inner.clamped
     )
     return SemiRankReport(rank=r, semi_rank=rs, certificate=cert, factorization=fact)

@@ -42,12 +42,14 @@ class HalfspaceCertificate:
     column c and ``margin`` is the smallest such product (``inf`` when no
     nonzero column was tested).  When infeasible, ``z`` and ``margin``
     are None: the minimized slack stayed above tolerance, so no witness
-    exists.
+    exists.  ``pivots`` counts the simplex pivots spent on the test (0
+    when no LP was solved).
     """
 
     feasible: bool
     z: np.ndarray | None = None
     margin: float | None = None
+    pivots: int = 0
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,7 @@ class BisectionResult:
 
     ``trace`` records every (eps, feasible) evaluation in order; the
     bracketing of the search keeps all infeasible entries below all
-    feasible ones.
+    feasible ones.  ``pivots`` is the total over the ``lp_calls`` LPs.
     """
 
     epsilon_star: float
@@ -64,6 +66,7 @@ class BisectionResult:
     epsilon_plus: float
     lp_calls: int
     trace: tuple[tuple[float, bool], ...] = ()
+    pivots: int = 0
 
 
 def lp_feasibility(columns, max_iter: int | None = None) -> HalfspaceCertificate:
@@ -99,7 +102,7 @@ def lp_feasibility(columns, max_iter: int | None = None) -> HalfspaceCertificate
     t_star = res.x[2 * m]
 
     if t_star > 0.5:
-        return HalfspaceCertificate(feasible=False)
+        return HalfspaceCertificate(feasible=False, pivots=res.iterations)
 
     z = (res.x[:m] - res.x[m : 2 * m]) / norms.min()
     margin = float(np.min(C.T @ z))
@@ -109,7 +112,9 @@ def lp_feasibility(columns, max_iter: int | None = None) -> HalfspaceCertificate
             f"but margin {margin:.3e}"
         )
     z = z / margin
-    return HalfspaceCertificate(feasible=True, z=z, margin=float(np.min(C.T @ z)))
+    return HalfspaceCertificate(
+        feasible=True, z=z, margin=float(np.min(C.T @ z)), pivots=res.iterations
+    )
 
 
 def _nonzero_columns(M: np.ndarray, zero_tol: float) -> np.ndarray:
@@ -174,9 +179,10 @@ def bisection_epsilon(B, rel_prec: float = 1e-3, zero_tol: float = ZERO_TOL) -> 
 
     cert0, used = _shifted_certificate(B, 0.0, zero_tol)
     lp_calls += int(used)
+    pivots = cert0.pivots
     trace.append((0.0, cert0.feasible))
     if cert0.feasible:
-        return BisectionResult(0.0, cert0.z, eps_plus, lp_calls, tuple(trace))
+        return BisectionResult(0.0, cert0.z, eps_plus, lp_calls, tuple(trace), pivots)
 
     # B + eps_plus >= 0 entrywise, so a scaled all-ones witness works there
     eps_lo, eps_hi = 0.0, eps_plus
@@ -186,6 +192,7 @@ def bisection_epsilon(B, rel_prec: float = 1e-3, zero_tol: float = ZERO_TOL) -> 
         mid = 0.5 * (eps_lo + eps_hi)
         cert, used = _shifted_certificate(B, mid, zero_tol)
         lp_calls += int(used)
+        pivots += cert.pivots
         trace.append((mid, cert.feasible))
         if cert.feasible:
             eps_hi, y_hi = mid, cert.z
@@ -198,4 +205,4 @@ def bisection_epsilon(B, rel_prec: float = 1e-3, zero_tol: float = ZERO_TOL) -> 
     if inf_eps and feas_eps and max(inf_eps) >= min(feas_eps):
         raise NumericalError("bisection bracket lost monotone ordering")
 
-    return BisectionResult(float(eps_hi), y_hi, eps_plus, lp_calls, tuple(trace))
+    return BisectionResult(float(eps_hi), y_hi, eps_plus, lp_calls, tuple(trace), pivots)

@@ -8,6 +8,13 @@ rules out cycling while keeping the common case fast.  Problem sizes in
 this package are a few hundred rows and columns, so a dense tableau is
 the right tool: every verdict we need (feasible / infeasible to a fixed
 tolerance) comes straight off the optimal basis.
+
+Phase 1 keeps no artificial columns: the tableau is [A | b], and the
+artificials survive only as basis ids n..n+m-1 for the ratio tie rule.
+That is exact.  A basic artificial is a unit column with reduced cost
+exactly 0, so it never enters; one that leaves may not re-enter (as in
+the textbook two-phase method); and a pivot updates each stored column
+independently of the others.
 """
 
 from __future__ import annotations
@@ -41,15 +48,14 @@ def _pivot(T: np.ndarray, red: np.ndarray, row: int, col: int) -> None:
     red -= red[col] * T[row]
 
 
-def _run(T, red, basis, allowed, max_iter, it_start, bland, lock_from=None, floor=None):
+def _run(T, red, basis, max_iter, it_start, bland, floor=None):
     """Drive the tableau to optimality; returns (iterations, bland_mode).
 
-    Variables with index >= lock_from are barred from re-entering the
-    basis once they leave (used for phase-1 artificials).  When a lower
-    bound ``floor`` on the objective is known (phase 1, and feasibility
-    LPs whose objective is a nonnegative slack), the loop stops as soon
-    as the objective reaches it; this sidesteps the long degenerate
-    walks an optimal face can otherwise demand from Bland's rule.
+    When a lower bound ``floor`` on the objective is known (phase 1, and
+    feasibility LPs whose objective is a nonnegative slack), the loop
+    stops as soon as the objective reaches it; this sidesteps the long
+    degenerate walks an optimal face can otherwise demand from Bland's
+    rule.
     """
     it = it_start
     stall = 0
@@ -59,14 +65,13 @@ def _run(T, red, basis, allowed, max_iter, it_start, bland, lock_from=None, floo
             return it, bland
         rc = red[:-1]
         if bland:
-            cand = np.flatnonzero(allowed & (rc < -RCOST_TOL))
+            cand = np.flatnonzero(rc < -RCOST_TOL)
             if cand.size == 0:
                 return it, bland
             col = int(cand[0])
         else:
-            masked = np.where(allowed, rc, np.inf)
-            col = int(np.argmin(masked))
-            if masked[col] >= -RCOST_TOL:
+            col = int(np.argmin(rc))
+            if rc[col] >= -RCOST_TOL:
                 return it, bland
         eligible = T[:, col] > PIVOT_TOL
         ratios = np.full(T.shape[0], np.inf)
@@ -78,11 +83,8 @@ def _run(T, red, basis, allowed, max_iter, it_start, bland, lock_from=None, floo
         ties = np.flatnonzero(ratios <= ratios[row] + PIVOT_TOL * (1.0 + abs(ratios[row])))
         if ties.size > 1:
             row = int(ties[np.argmin(basis[ties])])
-        leaving = basis[row]
         _pivot(T, red, row, col)
         basis[row] = col
-        if lock_from is not None and leaving >= lock_from:
-            allowed[leaving] = False
         it += 1
         if it > max_iter:
             raise NumericalError(
@@ -122,13 +124,11 @@ def simplex_min(
     A[neg] *= -1.0
     b[neg] *= -1.0
 
-    # phase 1: artificial basis, minimize the sum of artificials
-    T = np.hstack([A, np.eye(m), b[:, None]])
+    # phase 1: artificial basis (ids only), minimize the sum of artificials
+    T = np.hstack([A, b[:, None]])
     basis = np.arange(n, n + m)
-    red = np.concatenate([-A.sum(axis=0), np.zeros(m), [b.sum()]])
-    red[-1] *= -1.0
-    allowed = np.ones(n + m, dtype=bool)
-    it, bland = _run(T, red, basis, allowed, max_iter, 0, bland=False, lock_from=n, floor=0.0)
+    red = np.append(-A.sum(axis=0), -b.sum())
+    it, bland = _run(T, red, basis, max_iter, 0, bland=False, floor=0.0)
 
     if -red[-1] > 1e-9 * (1.0 + float(np.abs(b).max(initial=0.0))):
         raise LpInfeasible(f"phase-1 optimum {-red[-1]:.6e} > 0")
@@ -144,15 +144,14 @@ def simplex_min(
             basis[row] = int(cols[0])
         else:
             keep[row] = False
-    T = np.hstack([T[keep][:, :n], T[keep][:, -1:]])
+    T = T[keep]
     basis = basis[keep]
 
     # phase 2: original objective
     red = np.empty(n + 1)
     red[:n] = c - c[basis] @ T[:, :n]
     red[-1] = -float(c[basis] @ T[:, -1])
-    allowed = np.ones(n, dtype=bool)
-    it, _ = _run(T, red, basis, allowed, max_iter, it, bland, floor=objective_floor)
+    it, _ = _run(T, red, basis, max_iter, it, bland, floor=objective_floor)
 
     x = np.zeros(n)
     x[basis] = T[:, -1]

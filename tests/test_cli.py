@@ -59,6 +59,18 @@ class TestRank:
         payload = json.loads(out.read_text())
         assert payload["rank"] == 2 and payload["semi_rank"] == 3
 
+    def test_json_report_finite_at_extreme_scale(self, tmp_path):
+        p, out = tmp_path / "huge.csv", tmp_path / "report.json"
+        write_csv(p, np.ldexp(random_gaussian(6, 9, seed=5), 600))
+        assert main(["rank", str(p), "--json", str(out)]) == 0
+
+        def reject(token):
+            raise ValueError(f"{token} is not valid JSON")
+
+        payload = json.loads(out.read_text(), parse_constant=reject)
+        assert payload["rank"] == payload["semi_rank"] == 6
+        assert 0.0 < payload["frob_error"] < np.inf
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["rank", "/does/not/exist.csv"]) == 2
 

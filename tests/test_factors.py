@@ -161,6 +161,28 @@ class TestSemiRank:
         err = np.linalg.norm(M - rep.factorization.U @ rep.factorization.V)
         assert err <= 1e-9 * np.linalg.norm(M)
 
+    @pytest.mark.parametrize("k", [-600, 0, 600])
+    @pytest.mark.parametrize("feasible", [True, False])
+    def test_power_of_two_scale_invariance(self, k, feasible):
+        # at 2**-600 the column norms underflow and at 2**600 the error
+        # overflows unless the matrix is normalized first
+        if feasible:
+            M = random_gaussian(6, 9, seed=5)
+        else:
+            M = random_gaussian(6, 3, seed=5) @ random_gaussian(3, 9, seed=6)
+        ref, rep = semi_rank(M), semi_rank(np.ldexp(M, k))
+        assert (rep.rank, rep.semi_rank) == (ref.rank, ref.semi_rank)
+        assert rep.certificate.feasible == ref.certificate.feasible == feasible
+        if feasible:
+            assert np.array_equal(rep.certificate.z, ref.certificate.z)
+            assert rep.certificate.margin == ref.certificate.margin
+        f, f0 = rep.factorization, ref.factorization
+        assert np.array_equal(f.V, f0.V)
+        assert np.array_equal(f.U, np.ldexp(f0.U, k))
+        assert f.frob_error == np.ldexp(f0.frob_error, k)
+        assert np.isfinite(f.U).all() and np.isfinite(f.frob_error)
+        assert f0.frob_error <= 1e-9 * np.linalg.norm(M)
+
     def test_plane_spanning_fixture(self):
         rep = semi_rank(TIGHT_2x3)
         assert (rep.rank, rep.semi_rank) == (2, 3)

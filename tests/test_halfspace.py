@@ -1,9 +1,14 @@
 """Half-space certificate and bisection tests."""
 
+import math
+
 import numpy as np
 import pytest
 
+import seminmf.halfspace
+from seminmf.bench import gen_noisy_semi
 from seminmf.halfspace import bisection_epsilon, halfspace_feasible, lp_feasibility
+from seminmf.initializers import init_a3
 from seminmf.linalg import random_gaussian
 
 TIGHT_2x3 = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])  # spans the whole plane
@@ -144,3 +149,49 @@ class TestBisection:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="nonempty"):
             bisection_epsilon(np.zeros((0, 3)))
+
+
+@pytest.fixture
+def simplex_pivots(monkeypatch):
+    """Pivot counts of every simplex solve the half-space layer makes."""
+    counts = []
+    solve = seminmf.halfspace.simplex_min
+
+    def counted(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        counts.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(seminmf.halfspace, "simplex_min", counted)
+    return counts
+
+
+class TestPivotCounts:
+    """Pivot counters on the result dataclasses, pinned on seeded inputs.
+
+    The pinned figures are the simplex pivot path of these inputs; a
+    change to the pivoting rules or the tableau arithmetic moves them.
+    """
+
+    def test_containment_pivots(self, simplex_pivots):
+        rng = np.random.default_rng(2026)
+        F = rng.standard_normal((20, 20)) @ rng.random((20, 200))
+        G = rng.standard_normal((20, 200))
+        feasible, infeasible = lp_feasibility(F), lp_feasibility(G)
+        assert feasible.feasible and not infeasible.feasible
+        assert (feasible.pivots, infeasible.pivots) == (204, 244)
+        assert simplex_pivots == [204, 244]
+
+    def test_no_lp_means_no_pivots(self, simplex_pivots):
+        assert halfspace_feasible(np.zeros((3, 4))).pivots == 0
+        assert bisection_epsilon(np.zeros((3, 4))).pivots == 0
+        assert simplex_pivots == []
+
+    @pytest.mark.parametrize(
+        "m, n, r, delta, lp_calls, pivots",
+        [(50, 100, 10, 5.0, 11, 1441), (100, 200, 80, math.inf, 11, 4711)],
+    )
+    def test_a3_bisection_pivots(self, simplex_pivots, m, n, r, delta, lp_calls, pivots):
+        _, _, bis = init_a3(gen_noisy_semi(m, n, r, delta, seed=1), r)
+        assert bis.lp_calls == len(simplex_pivots) == lp_calls
+        assert bis.pivots == sum(simplex_pivots) == pivots
