@@ -45,7 +45,7 @@ from .linalg import (
     truncated_svd,
 )
 from .matio import read_matrix, write_matrix
-from .solver import SolveTrace, cd_semi_nmf, residual_row_update
+from .solver import SolveTrace, cd_semi_nmf
 
 __all__ = [
     "__version__",
@@ -83,7 +83,6 @@ __all__ = [
     "random_gaussian",
     "random_uniform",
     "read_matrix",
-    "residual_row_update",
     "run_experiment",
     "semi_rank",
     "sign_flip",

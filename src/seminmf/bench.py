@@ -18,12 +18,13 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
+from dataclasses import fields as dataclass_fields
 
 import numpy as np
 
 from .exceptions import NumericalError
-from .initializers import InitStrategy, initialize
+from .initializers import STRATEGY_KINDS, InitStrategy, initialize
 from .linalg import as_matrix, best_rank_error, frob, least_squares_left, make_rng
 from .solver import cd_semi_nmf
 
@@ -35,6 +36,7 @@ __all__ = [
     "gen_noisy_semi",
     "TrialConfig",
     "ExperimentRecord",
+    "run_start",
     "run_experiment",
     "config_problems",
     "records_to_csv",
@@ -117,19 +119,13 @@ def _generate(cfg: "TrialConfig", seed: int) -> np.ndarray:
 # experiment runner
 
 
-CONFIG_DEFAULTS = dict(
-    inner_dim=None,
-    delta=None,
-    strategies=("rd", "km", "a2", "a3"),
-    max_iter=100,
-    checkpoints=(10, 100),
-    restarts=1,
-)
-
-
 def config_problems(fields: dict) -> list[str]:
-    """Validate a config dict; returns one message per offending field."""
-    f = {**CONFIG_DEFAULTS, **fields}
+    """Validate a config dict; fields left out take their TrialConfig defaults.
+
+    Returns one message per offending field.
+    """
+    f = {d.name: d.default for d in dataclass_fields(TrialConfig) if d.default is not MISSING}
+    f.update(fields)
     errs = []
     gen = f.get("generator")
     if gen not in GENERATOR_KINDS:
@@ -153,7 +149,7 @@ def config_problems(fields: dict) -> list[str]:
         if not isinstance(d, (int, float)) or (not math.isinf(d) and d < 0):
             errs.append(f"delta: {d!r} invalid for noisy_semi")
     for s in f["strategies"]:
-        if s not in ("rd", "km", "a2", "a3"):
+        if s not in STRATEGY_KINDS:
             errs.append(f"strategies: unknown strategy {s!r}")
     if not isinstance(f["max_iter"], int) or f["max_iter"] < 1:
         errs.append("max_iter: must be >= 1")
@@ -174,7 +170,7 @@ class TrialConfig:
     r: int
     inner_dim: int | None = None  # semi_nonneg product inner dimension
     delta: float | None = None  # noisy_semi noise level (may be inf)
-    strategies: tuple[str, ...] = ("rd", "km", "a2", "a3")
+    strategies: tuple[str, ...] = STRATEGY_KINDS
     max_iter: int = 100
     checkpoints: tuple[int, ...] = (10, 100)
     restarts: int = 1
@@ -241,17 +237,20 @@ def _failure_record(cfg, ti, seed, strategy, msg):
     )
 
 
-def _run_strategy(M, cfg, strategy, seed):
-    """One init + solve; returns (errors incl. init, epsilon_star, wall_time)."""
-    t0 = time.perf_counter()
-    strat = InitStrategy(kind=strategy, seed=seed)
-    init = initialize(M, cfg.r, strat)
+def run_start(M, r: int, strategy: InitStrategy, max_iter: int):
+    """One start and ``max_iter`` coordinate descent iterations from it.
+
+    Returns (Factorization, errors, epsilon_star): errors[0] is the
+    start's error and errors[t] the error after t iterations;
+    epsilon_star is the A3 shift, None for the other strategies.
+    """
+    init = initialize(M, r, strategy)
     U0 = init.U0 if init.U0 is not None else least_squares_left(M, init.V0)
     init_err = frob(M - U0 @ init.V0)
-    _, trace = cd_semi_nmf(M, init.V0, cfg.max_iter)
+    fact, trace = cd_semi_nmf(M, init.V0, max_iter)
     errors = np.concatenate([[init_err], trace.errors])
     eps = init.bisection.epsilon_star if init.bisection is not None else None
-    return errors, eps, time.perf_counter() - t0
+    return fact, errors, eps
 
 
 def _run_trial(cfg: TrialConfig, ci: int, ti: int, master_seed: int) -> list[ExperimentRecord]:
@@ -268,12 +267,14 @@ def _run_trial(cfg: TrialConfig, ci: int, ti: int, master_seed: int) -> list[Exp
         failure = None
         for restart in range(cfg.restarts):
             seed = _trial_seed(master_seed, ci, ti, 1 + si, restart)
+            t0 = time.perf_counter()
             try:
-                errors, eps, dt = _run_strategy(M, cfg, strategy, seed)
+                strat = InitStrategy(kind=strategy, seed=seed)
+                _, errors, eps = run_start(M, cfg.r, strat, cfg.max_iter)
             except (ValueError, NumericalError) as exc:
                 failure = str(exc)
                 break
-            wall += dt
+            wall += time.perf_counter() - t0
             if best_run is None or errors[-1] < best_run[1][-1]:
                 best_run = (seed, errors)
                 eps_star = eps

@@ -31,7 +31,7 @@ import math
 import os
 import sys
 
-from . import __version__
+from . import __version__, bench
 from .bench import (
     TrialConfig,
     config_problems,
@@ -43,10 +43,10 @@ from .bench import (
 )
 from .exceptions import NumericalError
 from .factors import semi_rank
-from .initializers import InitStrategy, initialize
-from .linalg import best_rank_error, frob, least_squares_left
+from .halfspace import ZERO_TOL
+from .initializers import STRATEGY_KINDS, InitStrategy
+from .linalg import best_rank_error, frob
 from .matio import read_matrix, write_matrix
-from .solver import cd_semi_nmf
 
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
@@ -106,14 +106,13 @@ def _cmd_factorize(args) -> int:
         raise UsageError(f"--rank {args.rank} exceeds min(matrix dimensions) {min(M.shape)}")
 
     strat = InitStrategy(kind=args.init, seed=args.seed, a3_rel_prec=args.rel_prec)
-    init = initialize(M, args.rank, strat)
-    fact, trace = cd_semi_nmf(M, init.V0, args.maxiter)
+    fact, errors, eps = bench.run_start(M, args.rank, strat, args.maxiter)
 
     best = best_rank_error(M, args.rank)
     fm = frob(M)
     qual = quality_from_error(fact.frob_error, best, fm)
-    if init.bisection is not None:
-        print(f"epsilon_star={init.bisection.epsilon_star:.6e}")
+    if eps is not None:
+        print(f"epsilon_star={eps:.6e}")
     print(f"frob_error={fact.frob_error:.17e}")
     print(f"quality={qual:.17e}")
     if args.out_u:
@@ -121,11 +120,9 @@ def _cmd_factorize(args) -> int:
     if args.out_v:
         write_matrix(args.out_v, fact.V)
     if args.trace:
-        U0 = init.U0 if init.U0 is not None else least_squares_left(M, init.V0)
-        errs = [frob(M - U0 @ init.V0)] + list(trace.errors)
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write("iteration,frob_error,quality\n")
-            for t, e in enumerate(errs):
+            for t, e in enumerate(map(float, errors)):
                 fh.write(f"{t},{e!r},{quality_from_error(e, best, fm)!r}\n")
     return 0
 
@@ -140,18 +137,14 @@ PRESETS = {
 }
 
 
-def preset_configs(name: str, max_iter: int = 100) -> list[TrialConfig]:
+def preset_configs(name: str) -> list[TrialConfig]:
     p = PRESETS[name]
     cfgs = []
     for r in p["ranks"]:
-        cfgs.append(TrialConfig("nonnegative", p["m"], p["n"], r, max_iter=max_iter))
-        cfgs.append(
-            TrialConfig("semi_nonneg", p["m"], p["n"], r, inner_dim=r + 10, max_iter=max_iter)
-        )
+        cfgs.append(TrialConfig("nonnegative", p["m"], p["n"], r))
+        cfgs.append(TrialConfig("semi_nonneg", p["m"], p["n"], r, inner_dim=r + 10))
         for delta in (5.0, 10.0, math.inf):
-            cfgs.append(
-                TrialConfig("noisy_semi", p["m"], p["n"], r, delta=delta, max_iter=max_iter)
-            )
+            cfgs.append(TrialConfig("noisy_semi", p["m"], p["n"], r, delta=delta))
     return cfgs
 
 
@@ -183,9 +176,7 @@ def parse_suite_line(line: str, lineno: int) -> TrialConfig:
                 fields[key] = tuple(int(v) for v in value.split(","))
             except ValueError:
                 problems.append(f"checkpoints: expected integers, got {value!r}")
-        elif key == "generator":
-            fields[key] = value
-        elif key == "name":
+        elif key in ("generator", "name"):
             fields[key] = value
         else:
             problems.append(f"unknown key {key!r}")
@@ -258,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("rank", help="rank / semi-nonnegative rank report")
     pr.add_argument("input", help="matrix file (CSV or MatrixMarket)")
-    pr.add_argument("--zero-tol", type=float, default=1e-12,
+    pr.add_argument("--zero-tol", type=float, default=ZERO_TOL,
                     help="relative cutoff for treating columns as zero")
     pr.add_argument("--out-u", help="write the exact left factor here")
     pr.add_argument("--out-v", help="write the exact right factor here")
@@ -268,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf = sub.add_parser("factorize", help="initialize + coordinate descent")
     pf.add_argument("input")
     pf.add_argument("--rank", "-r", type=int, required=True)
-    pf.add_argument("--init", choices=("rd", "km", "a2", "a3"), default="a3")
+    pf.add_argument("--init", choices=STRATEGY_KINDS, default="a3")
     pf.add_argument("--maxiter", type=int, default=100)
     pf.add_argument("--seed", type=int, default=_default_seed())
     pf.add_argument("--rel-prec", type=float, default=1e-3,

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .halfspace import HalfspaceCertificate, lp_feasibility
-from .linalg import as_matrix, frob
+from .halfspace import ZERO_TOL, HalfspaceCertificate, lp_feasibility, nonzero_columns
+from .linalg import as_matrix, frob, pow2_scale
 
 __all__ = [
     "Factorization",
@@ -40,7 +40,7 @@ __all__ = [
 
 # numerical-rank cutoff: sigma_i <= max(m, n) * sigma_1 * RANK_RTOL is zero
 RANK_RTOL = 1e-10
-ZERO_COL_TOL = 1e-12
+CLAMP_TOL = 1e-12  # relative size of negative V dust that is clamped, not rejected
 X_FLOOR = 1e-12  # floor on x entries before dividing in the alpha step
 
 
@@ -58,10 +58,10 @@ class Factorization:
     clamped: float = 0.0
 
 
-def make_factorization(M, U, V, clamp_tol: float = 1e-12) -> Factorization:
+def make_factorization(M, U, V) -> Factorization:
     """Build a Factorization, clamping negative dust in V to zero.
 
-    Entries of V below ``-clamp_tol * max(1, max|V|)`` are treated as a
+    Entries of V below ``-CLAMP_TOL * max(1, max|V|)`` are treated as a
     bug in the caller and rejected.
     """
     M = as_matrix(M, "M")
@@ -69,7 +69,7 @@ def make_factorization(M, U, V, clamp_tol: float = 1e-12) -> Factorization:
     V = as_matrix(V, "V")
     scale = max(1.0, float(np.max(np.abs(V), initial=0.0)))
     low = float(V.min(initial=0.0))
-    if low < -clamp_tol * scale:
+    if low < -CLAMP_TOL * scale:
         raise ValueError(f"V has a negative entry {low:.3e} beyond roundoff dust")
     clamped = max(0.0, -low)
     V = np.maximum(V, 0.0)
@@ -134,7 +134,7 @@ def exact_semi_nmf_same_rank(A, B, y) -> Factorization:
     if r == 0:
         return make_factorization(A @ B, A.copy(), B.copy())
 
-    keep = np.linalg.norm(B, axis=0) > ZERO_COL_TOL * float(np.max(np.abs(B), initial=0.0))
+    keep = nonzero_columns(B)
     if B[:, keep].size and B[:, keep].max(axis=1).min() <= 0.0:
         raise ValueError("every row of B needs a positive maximum; sign_flip first")
     x = B.T @ y
@@ -168,7 +168,7 @@ class SemiRankReport:
     factorization: Factorization
 
 
-def semi_rank(M, zero_tol: float = ZERO_COL_TOL) -> SemiRankReport:
+def semi_rank(M, zero_tol: float = ZERO_TOL) -> SemiRankReport:
     """Semi-nonnegative rank of M with an exact witnessing factorization.
 
     The rank is the numerical rank from the SVD.  The certificate tests
@@ -176,14 +176,14 @@ def semi_rank(M, zero_tol: float = ZERO_COL_TOL) -> SemiRankReport:
     M; when it is feasible the factorization keeps the same inner
     dimension, otherwise the lift adds one.
 
-    The work is done on M / s, where s = 2**(e - 1) for max|M| = f * 2**e
-    with f in [1/2, 1).  The division is exact, so the rank, the
-    certificate and V do not depend on the scale of M, and column norms
-    neither underflow nor overflow; U and the error are scaled back by s.
+    The work is done on M / s, where s = ``pow2_scale(M)`` is a power of
+    two.  The division is exact, so the rank, the certificate and V do
+    not depend on the scale of M, and column norms neither underflow nor
+    overflow; U and the error are scaled back by s.
     """
     M = as_matrix(M, "M")
     m, n = M.shape
-    s = float(np.ldexp(1.0, int(np.frexp(np.max(np.abs(M), initial=0.0))[1]) - 1))
+    s = pow2_scale(M)
     M = M / s
     Uf, S, Vt = np.linalg.svd(M, full_matrices=False)
     cutoff = max(m, n) * RANK_RTOL * (S[0] if S.size else 0.0)
@@ -201,11 +201,7 @@ def semi_rank(M, zero_tol: float = ZERO_COL_TOL) -> SemiRankReport:
     scale = float(np.max(np.abs(M)))
     keep = np.linalg.norm(M, axis=0) > zero_tol * scale
     keep &= np.linalg.norm(B, axis=0) > 0.0
-    cert = (
-        lp_feasibility(B[:, keep])
-        if keep.any()
-        else HalfspaceCertificate(feasible=True, z=np.ones(r), margin=np.inf)
-    )
+    cert = lp_feasibility(B[:, keep])
 
     if cert.feasible:
         Bc = B.copy()

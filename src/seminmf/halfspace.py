@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError
-from .linalg import as_matrix
+from .linalg import as_matrix, pow2_scale
 from .simplex import simplex_min
 
 __all__ = [
@@ -30,8 +30,7 @@ __all__ = [
     "bisection_epsilon",
 ]
 
-MARGIN_TOL = 1e-9  # slack above this means "no witness exists"
-ZERO_TOL = 1e-12  # default relative cutoff for treating a column as zero
+ZERO_TOL = 1e-12  # relative cutoff for treating a column as zero
 
 
 @dataclass(frozen=True)
@@ -69,23 +68,27 @@ class BisectionResult:
     pivots: int = 0
 
 
-def lp_feasibility(columns, max_iter: int | None = None) -> HalfspaceCertificate:
+def lp_feasibility(columns) -> HalfspaceCertificate:
     """Decide whether all columns lie in the interior of a common half space.
 
-    ``columns`` is an m-by-p matrix whose p columns must all be nonzero.
-    Solves  min t  subject to  c_j.z >= b_j - t,  t >= 0  on the
-    unit-normalized columns.  The optimum separates cleanly: any witness
-    can be scaled until t = 0, while infeasibility forces some product
-    nonpositive and hence t >= min b.  The right-hand sides carry a
-    deterministic spread (b_j slightly above 1) so the infeasible
-    optimum vertex is not degenerate, which keeps the pivot count small.
-    The returned witness is rescaled so the minimum product over the
-    original columns is 1.
+    ``columns`` is an m-by-p matrix whose p columns must all be nonzero;
+    with p = 0 the test is vacuously feasible.  Solves  min t  subject
+    to  c_j.z >= b_j - t,  t >= 0  on the unit-normalized columns.  The
+    optimum separates cleanly: any witness can be scaled until t = 0,
+    while infeasibility forces some product nonpositive and hence
+    t >= min b.  The right-hand sides carry a deterministic spread (b_j
+    slightly above 1) so the infeasible optimum vertex is not
+    degenerate, which keeps the pivot count small.  The returned witness
+    is rescaled so the minimum product over the original columns is 1.
+    The columns are first divided by ``pow2_scale`` (exact), so nothing
+    depends on a power-of-two scale of the input.
     """
     C = as_matrix(columns, "columns")
     m, p = C.shape
     if p == 0:
         return HalfspaceCertificate(feasible=True, z=np.ones(m), margin=np.inf)
+    s = pow2_scale(C)
+    C = C / s
     norms = np.linalg.norm(C, axis=0)
     if np.any(norms == 0.0):
         raise ValueError("lp_feasibility requires nonzero columns")
@@ -98,7 +101,7 @@ def lp_feasibility(columns, max_iter: int | None = None) -> HalfspaceCertificate
     cost = np.zeros(2 * m + 1 + p)
     cost[2 * m] = 1.0
     # objective floor 0 lets the solve stop the moment feasibility is proven
-    res = simplex_min(cost, A, b, max_iter=max_iter, objective_floor=0.0)
+    res = simplex_min(cost, A, b, objective_floor=0.0)
     t_star = res.x[2 * m]
 
     if t_star > 0.5:
@@ -113,60 +116,37 @@ def lp_feasibility(columns, max_iter: int | None = None) -> HalfspaceCertificate
         )
     z = z / margin
     return HalfspaceCertificate(
-        feasible=True, z=z, margin=float(np.min(C.T @ z)), pivots=res.iterations
+        feasible=True, z=z / s, margin=float(np.min(C.T @ z)), pivots=res.iterations
     )
 
 
-def _nonzero_columns(M: np.ndarray, zero_tol: float) -> np.ndarray:
-    """Indices of columns whose 2-norm exceeds zero_tol * max|M|."""
-    scale = float(np.max(np.abs(M), initial=0.0))
-    norms = np.linalg.norm(M, axis=0)
-    return np.flatnonzero(norms > zero_tol * scale)
+def nonzero_columns(M: np.ndarray) -> np.ndarray:
+    """Mask of the columns whose 2-norm exceeds ZERO_TOL * max|M|."""
+    M = M / pow2_scale(M)
+    return np.linalg.norm(M, axis=0) > ZERO_TOL * float(np.max(np.abs(M), initial=0.0))
 
 
-def halfspace_feasible(M, zero_tol: float = ZERO_TOL) -> HalfspaceCertificate:
+def halfspace_feasible(M) -> HalfspaceCertificate:
     """Containment test for the nonzero columns of M.
 
-    Columns with 2-norm at most ``zero_tol`` times the largest absolute
+    Columns with 2-norm at most ``ZERO_TOL`` times the largest absolute
     entry of M count as zero and are excluded; with no columns left the
     test is vacuously feasible.
     """
     M = as_matrix(M, "M")
-    if zero_tol < 0:
-        raise ValueError("zero_tol must be nonnegative")
-    keep = _nonzero_columns(M, zero_tol)
-    if keep.size == 0:
-        return HalfspaceCertificate(feasible=True, z=np.ones(M.shape[0]), margin=np.inf)
-    return lp_feasibility(M[:, keep])
+    return lp_feasibility(M[:, nonzero_columns(M)])
 
 
-def _shifted_certificate(B: np.ndarray, eps: float, zero_tol: float):
-    """Certificate for the columns of B + eps; returns (cert, used_lp)."""
-    shifted = B + eps
-    keep = _nonzero_columns(shifted, zero_tol)
-    if keep.size == 0:
-        return HalfspaceCertificate(feasible=True, z=np.ones(B.shape[0]), margin=np.inf), False
-    return lp_feasibility(shifted[:, keep]), True
-
-
-def _scaled_ones_witness(B: np.ndarray, eps: float, zero_tol: float) -> np.ndarray:
-    """Witness y proportional to the all-ones vector, valid when B + eps >= 0."""
-    shifted = B + eps
-    keep = _nonzero_columns(shifted, zero_tol)
-    if keep.size == 0:
-        return np.ones(B.shape[0])
-    sums = shifted[:, keep].sum(axis=0)
-    return np.ones(B.shape[0]) / sums.min()
-
-
-def bisection_epsilon(B, rel_prec: float = 1e-3, zero_tol: float = ZERO_TOL) -> BisectionResult:
+def bisection_epsilon(B, rel_prec: float = 1e-3) -> BisectionResult:
     """Bisection on the shift eps for the relaxed containment problem.
 
     Checks eps = 0 first and returns immediately when feasible.
     Otherwise bisects on [0, eps_plus] until the bracket width drops to
     ``rel_prec * eps_plus``, returning the smallest feasible eps
     evaluated together with its witness.  At the default precision this
-    takes at most ten bisection solves after the eps = 0 check.
+    takes at most ten bisection solves after the eps = 0 check.  A test
+    counts as an LP call when it pivots: every LP does, and the vacuous
+    test (no nonzero column) solves none.
     """
     B = as_matrix(B, "B")
     if B.size == 0:
@@ -174,24 +154,26 @@ def bisection_epsilon(B, rel_prec: float = 1e-3, zero_tol: float = ZERO_TOL) -> 
     if rel_prec <= 0:
         raise ValueError("rel_prec must be positive")
     eps_plus = float(max(0.0, -B.min()))
-    lp_calls = 0
     trace: list[tuple[float, bool]] = []
 
-    cert0, used = _shifted_certificate(B, 0.0, zero_tol)
-    lp_calls += int(used)
+    # B + 0.0, as at every other eps, turns -0.0 entries into 0.0
+    cert0 = halfspace_feasible(B + 0.0)
+    lp_calls = int(cert0.pivots > 0)
     pivots = cert0.pivots
     trace.append((0.0, cert0.feasible))
     if cert0.feasible:
         return BisectionResult(0.0, cert0.z, eps_plus, lp_calls, tuple(trace), pivots)
 
-    # B + eps_plus >= 0 entrywise, so a scaled all-ones witness works there
+    # B + eps_plus >= 0 entrywise, so a scaled all-ones witness works there;
+    # it has a nonzero column, or B would be constant and feasible at eps = 0
     eps_lo, eps_hi = 0.0, eps_plus
-    y_hi = _scaled_ones_witness(B, eps_plus, zero_tol)
+    top = B + eps_plus
+    y_hi = np.ones(B.shape[0]) / top[:, nonzero_columns(top)].sum(axis=0).min()
     trace.append((eps_plus, True))
     while eps_hi - eps_lo > rel_prec * eps_plus:
         mid = 0.5 * (eps_lo + eps_hi)
-        cert, used = _shifted_certificate(B, mid, zero_tol)
-        lp_calls += int(used)
+        cert = halfspace_feasible(B + mid)
+        lp_calls += int(cert.pivots > 0)
         pivots += cert.pivots
         trace.append((mid, cert.feasible))
         if cert.feasible:

@@ -40,14 +40,12 @@ STRATEGY_KINDS = ("rd", "km", "a2", "a3")
 class InitStrategy:
     """Which initializer to run and its parameters.
 
-    ``seed`` feeds rd/km; ``km_max_iter`` caps the Lloyd iterations;
-    ``a3_rel_prec`` is the bisection precision.  Parameters not used by
-    ``kind`` are ignored.
+    ``seed`` feeds rd/km; ``a3_rel_prec`` is the bisection precision.
+    Parameters not used by ``kind`` are ignored.
     """
 
     kind: str
     seed: int = 0
-    km_max_iter: int = 100
     a3_rel_prec: float = 1e-3
 
     def __post_init__(self):
@@ -72,11 +70,11 @@ def init_rd(M, r: int, seed: int) -> np.ndarray:
     return random_uniform(r, M.shape[1], seed)
 
 
-def init_km(M, r: int, seed: int, max_iter: int = 100) -> np.ndarray:
+def init_km(M, r: int, seed: int) -> np.ndarray:
     """Cluster-indicator right factor: entry (k, j) is 1.2 when column j
     sits in cluster k and 0.2 otherwise."""
     M = as_matrix(M, "M")
-    assign = kmeans(M, r, seed, max_iter=max_iter)
+    assign = kmeans(M, r, seed)
     V0 = np.full((r, M.shape[1]), 0.2)
     V0[assign, np.arange(M.shape[1])] += 1.0
     return V0
@@ -128,7 +126,7 @@ def initialize(M, r: int, strategy: InitStrategy) -> InitResult:
     if strategy.kind == "rd":
         return InitResult(V0=init_rd(M, r, strategy.seed))
     if strategy.kind == "km":
-        return InitResult(V0=init_km(M, r, strategy.seed, strategy.km_max_iter))
+        return InitResult(V0=init_km(M, r, strategy.seed))
     if strategy.kind == "a2":
         U0, V0 = init_a2(M, r)
         return InitResult(V0=V0, U0=U0)

@@ -11,7 +11,9 @@ import numpy as np
 
 from .linalg import as_matrix, make_rng
 
-__all__ = ["kmeans", "kmeans_objective"]
+__all__ = ["kmeans"]
+
+MAX_ITER = 100  # Lloyd iterations per run
 
 
 def _sq_dists_to(points: np.ndarray, center: np.ndarray) -> np.ndarray:
@@ -48,19 +50,11 @@ def _assign(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.argmin(d2, axis=0)
 
 
-def kmeans_objective(X: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> float:
-    """Within-cluster sum of squared distances."""
-    d = X - centers[:, assign]
-    return float(np.einsum("ij,ij->", d, d))
-
-
 def _lloyd(X, k, seed, max_iter):
-    """Run Lloyd iterations; returns (assignments, objective trace)."""
+    """Run at most max_iter Lloyd iterations; returns the assignments."""
     rng = make_rng(seed)
-    n = X.shape[1]
     centers = _plusplus_seed(X, k, rng)
     assign = _assign(X, centers)
-    trace = []
     for _ in range(max_iter):
         # fill empty clusters with the point farthest from its own centroid
         counts = np.bincount(assign, minlength=k)
@@ -70,33 +64,27 @@ def _lloyd(X, k, seed, max_iter):
             far = int(np.argmax(dists))
             centers[:, c] = X[:, far]
             assign[far] = c
-            counts = np.bincount(assign, minlength=k)
         # centroid update
         for c in range(k):
             mask = assign == c
             if mask.any():
                 centers[:, c] = X[:, mask].mean(axis=1)
         new_assign = _assign(X, centers)
-        trace.append(kmeans_objective(X, centers, new_assign))
         if np.array_equal(new_assign, assign):
-            assign = new_assign
             break
         assign = new_assign
-    return assign, trace
+    return assign
 
 
-def kmeans(M, k: int, seed: int, max_iter: int = 100) -> np.ndarray:
+def kmeans(M, k: int, seed: int) -> np.ndarray:
     """Cluster the columns of M into k groups; returns one index per column.
 
-    Raises ValueError when k is out of range.  Deterministic for a fixed
-    seed; empty clusters are re-seeded to the column farthest from its
-    assigned centroid.
+    Raises ValueError when k is out of range.  Runs at most MAX_ITER
+    Lloyd iterations.  Deterministic for a fixed seed; empty clusters
+    are re-seeded to the column farthest from its assigned centroid.
     """
     X = as_matrix(M, "M")
     n = X.shape[1]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for {n} columns")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    assign, _ = _lloyd(X, k, seed, max_iter)
-    return assign
+    return _lloyd(X, k, seed, MAX_ITER)

@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "as_matrix",
     "frob",
+    "pow2_scale",
     "SvdTriplet",
     "truncated_svd",
     "singular_values",
@@ -46,6 +47,12 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 def frob(m: np.ndarray) -> float:
     """Frobenius norm."""
     return float(np.linalg.norm(m))
+
+
+def pow2_scale(m: np.ndarray) -> float:
+    """2**(e - 1) for max|m| = f * 2**e, f in [1/2, 1): dividing by it is
+    exact and brings max|m| into [1, 2), where norms cannot under/overflow."""
+    return float(np.ldexp(1.0, int(np.frexp(np.max(np.abs(m), initial=0.0))[1]) - 1))
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -21,6 +21,7 @@ from .linalg import as_matrix
 __all__ = ["read_matrix", "write_matrix", "read_csv", "write_csv", "read_mm", "write_mm"]
 
 _FMT = "%.16e"  # 17 significant digits
+_MM_SUFFIXES = (".mtx", ".mm")
 
 
 def read_csv(path) -> np.ndarray:
@@ -135,7 +136,7 @@ def write_mm(path, M) -> None:
 
 
 def _is_mm(path) -> bool:
-    if str(path).lower().endswith((".mtx", ".mm")):
+    if str(path).lower().endswith(_MM_SUFFIXES):
         return True
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -151,13 +152,9 @@ def read_matrix(path) -> np.ndarray:
     return read_mm(path) if _is_mm(path) else read_csv(path)
 
 
-def write_matrix(path, M, fmt: str | None = None) -> None:
-    """Write a matrix as ``csv`` or ``mm``; inferred from the extension by default."""
-    if fmt is None:
-        fmt = "mm" if str(path).lower().endswith((".mtx", ".mm")) else "csv"
-    if fmt == "csv":
-        write_csv(path, M)
-    elif fmt == "mm":
+def write_matrix(path, M) -> None:
+    """Write MatrixMarket for a .mtx or .mm path, CSV otherwise."""
+    if str(path).lower().endswith(_MM_SUFFIXES):
         write_mm(path, M)
     else:
-        raise ValueError(f"unknown matrix format {fmt!r}")
+        write_csv(path, M)

@@ -13,15 +13,17 @@ floating point drift cannot accumulate across iterations.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .factors import Factorization, make_factorization
+from .exceptions import NumericalError
+from .factors import make_factorization
 from .linalg import as_matrix, least_squares_left, truncated_svd
 
-__all__ = ["SolveTrace", "cd_semi_nmf", "residual_row_update"]
+__all__ = ["SolveTrace", "cd_semi_nmf"]
 
 # squared column norms below DEGENERATE_RTOL * ||U||_F^2 skip their row update
 DEGENERATE_RTOL = 1e-14
@@ -34,27 +36,6 @@ class SolveTrace:
     errors: np.ndarray
     iterations_run: int
     wall_time: float
-
-
-def residual_row_update(M, U, V, i: int) -> np.ndarray:
-    """Optimal nonnegative row i of V with everything else fixed.
-
-    Returns max(0, (M - U(:,I) V(I,:)).T u / ||u||^2) for u = U(:,i) and
-    I the other row indices.  Raises ValueError when u is numerically
-    zero (no division by ~0 is ever performed).
-    """
-    M = as_matrix(M, "M")
-    U = as_matrix(U, "U")
-    V = as_matrix(V, "V")
-    r = U.shape[1]
-    if not 0 <= i < r or V.shape[0] != r:
-        raise ValueError("row index out of range or U, V not conformable")
-    u = U[:, i]
-    nu2 = float(u @ u)
-    if nu2 < DEGENERATE_RTOL * float(np.sum(U * U)):
-        raise ValueError(f"column {i} of U is numerically zero")
-    Ri = M - U @ V + np.outer(u, V[i])
-    return np.maximum(0.0, (Ri.T @ u) / nu2)
 
 
 def _reseed_zero_rows(M, U, V, norms2, total2):
@@ -92,6 +73,8 @@ def cd_semi_nmf(M, V0, max_iter: int, rel_tol: float | None = None):
     Returns
     -------
     (Factorization, SolveTrace)
+
+    Raises NumericalError when a residual norm is NaN or Inf.
     """
     M = as_matrix(M, "M")
     V = as_matrix(V0, "V0").copy()
@@ -124,6 +107,8 @@ def cd_semi_nmf(M, V0, max_iter: int, rel_tol: float | None = None):
             V[i] = np.maximum(0.0, (R.T @ u) / nu2)
             R -= np.outer(u, V[i])
         errors.append(float(np.linalg.norm(R)))
+        if not math.isfinite(errors[-1]):
+            raise NumericalError(f"residual norm {errors[-1]} at CD iteration {len(errors)}")
         if rel_tol is not None and len(errors) >= 2:
             if errors[-2] - errors[-1] <= rel_tol * errors[0]:
                 break

@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 from seminmf.linalg import as_matrix
+from seminmf.solver import DEGENERATE_RTOL
 
 
 def oracle_rank1_grid(M, grid_density: int = 40):
@@ -56,3 +57,25 @@ def oracle_halfplane_2d(M, zero_tol: float = 1e-12) -> bool:
     gaps = np.diff(angles)
     wrap = 2.0 * math.pi - (angles[-1] - angles[0])
     return bool(max(gaps.max(initial=0.0), wrap) > math.pi)
+
+
+def residual_row_update(M, U, V, i: int) -> np.ndarray:
+    """Optimal nonnegative row i of V with everything else fixed.
+
+    Returns max(0, (M - U(:,I) V(I,:)).T u / ||u||^2) for u = U(:,i) and
+    I the other row indices, formed from scratch: the reference for the
+    solver's incremental row sweep.  Raises ValueError when u is
+    numerically zero (no division by ~0 is ever performed).
+    """
+    M = as_matrix(M, "M")
+    U = as_matrix(U, "U")
+    V = as_matrix(V, "V")
+    r = U.shape[1]
+    if not 0 <= i < r or V.shape[0] != r:
+        raise ValueError("row index out of range or U, V not conformable")
+    u = U[:, i]
+    nu2 = float(u @ u)
+    if nu2 < DEGENERATE_RTOL * float(np.sum(U * U)):
+        raise ValueError(f"column {i} of U is numerically zero")
+    Ri = M - U @ V + np.outer(u, V[i])
+    return np.maximum(0.0, (Ri.T @ u) / nu2)

@@ -113,6 +113,20 @@ class TestFactorize:
         lines = tr.read_text().strip().splitlines()
         assert lines[0] == "iteration,frob_error,quality"
         assert len(lines) == 1 + 8  # init entry + 7 iterations
+        for t, line in enumerate(lines[1:]):
+            it, err, qual = line.split(",")
+            assert int(it) == t
+            assert float(err) >= 0.0 and float(qual) >= 0.0
+
+    @pytest.mark.parametrize("init", ["rd", "km", "a2", "a3"])
+    @pytest.mark.parametrize("k", [-600, 600])
+    def test_numerical_failure_at_extreme_scale_exits_3(self, tmp_path, capsys, init, k):
+        # CD cannot run on |M| ~ 2**600 or 2**-600: that is a numerical
+        # failure, not a usage error
+        p = tmp_path / "m.csv"
+        write_csv(p, np.ldexp(random_gaussian(6, 9, seed=5), k))
+        assert main(["factorize", str(p), "--rank", "3", "--init", init]) == 3
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_maxiter_zero_rejected(self, tmp_path, capsys):
         p = tmp_path / "m.csv"

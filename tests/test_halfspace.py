@@ -66,6 +66,28 @@ class TestHalfspaceFeasible:
             assert halfspace_feasible(Vt).feasible
 
 
+class TestPowerOfTwoScale:
+    """Verdicts, pivots, witnesses and margins do not depend on a 2**k scale."""
+
+    MATRICES = {
+        "infeasible": random_gaussian(3, 9, seed=5),
+        "feasible": random_gaussian(6, 3, seed=5) @ np.random.default_rng(1).random((3, 9)),
+    }
+
+    @pytest.mark.parametrize("test", [halfspace_feasible, lp_feasibility])
+    @pytest.mark.parametrize("kind", sorted(MATRICES))
+    @pytest.mark.parametrize("k", [-600, -540, 540, 600])
+    def test_extreme_scales_match_unit_scale(self, test, kind, k):
+        M = self.MATRICES[kind]
+        base, scaled = test(M), test(np.ldexp(M, k))
+        assert base.feasible == (kind == "feasible")
+        assert scaled.feasible == base.feasible
+        assert scaled.pivots == base.pivots > 0
+        if base.feasible:
+            assert np.array_equal(scaled.z, np.ldexp(base.z, -k))
+            assert scaled.margin == base.margin
+
+
 class TestLpFeasibility:
     def test_single_column(self):
         c = np.array([[3.0], [4.0]])

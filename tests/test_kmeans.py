@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from seminmf.kmeans import _lloyd, kmeans, kmeans_objective
+from seminmf.kmeans import _lloyd, kmeans
 
 
 def brute_force_two_partition(X):
@@ -25,6 +25,15 @@ def brute_force_two_partition(X):
     return best, best_mask
 
 
+def own_centroid_objective(X, assign):
+    """Within-cluster sum of squares of a partition around its own centroids."""
+    cost = 0.0
+    for c in np.unique(assign):
+        pts = X[:, assign == c]
+        cost += float(np.sum((pts - pts.mean(axis=1, keepdims=True)) ** 2))
+    return cost
+
+
 class TestKmeans:
     def test_separated_clouds_match_exhaustive_oracle(self):
         rng = np.random.default_rng(0)
@@ -40,8 +49,7 @@ class TestKmeans:
         X = np.random.default_rng(1).standard_normal((3, 6))
         assign = kmeans(X, 6, seed=2)
         assert sorted(assign) == list(range(6))
-        centers = X[:, np.argsort(assign)]
-        assert kmeans_objective(X, centers, np.argsort(np.argsort(assign))) >= 0
+        assert own_centroid_objective(X, assign) == 0.0
 
     def test_identical_columns(self):
         X = np.ones((4, 5))
@@ -50,8 +58,10 @@ class TestKmeans:
         assert set(assign) <= {0, 1}
 
     def test_objective_monotone(self):
+        # the partition after t Lloyd iterations, scored around its own
+        # centroids, never gets worse as t grows
         X = np.random.default_rng(4).standard_normal((5, 40))
-        _, trace = _lloyd(X, 4, seed=5, max_iter=50)
+        trace = [own_centroid_objective(X, _lloyd(X, 4, 5, t)) for t in range(1, 51)]
         diffs = np.diff(trace)
         assert np.all(diffs <= 1e-10 * (1.0 + trace[0]))
 

@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from seminmf.exceptions import LpInfeasible, LpUnbounded
+import seminmf.simplex
+from seminmf.exceptions import LpInfeasible, LpUnbounded, NumericalError
 from seminmf.simplex import simplex_min
 
 
@@ -26,13 +27,31 @@ def brute_force_vertices(c, A, b):
     return best
 
 
+# max x + y  s.t. x + 2y <= 4, 3x + y <= 6  ->  x=8/5, y=6/5
+SIMPLE_MAX = (
+    np.array([-1.0, -1.0, 0.0, 0.0]),
+    np.array([[1.0, 2.0, 1.0, 0.0], [3.0, 1.0, 0.0, 1.0]]),
+    np.array([4.0, 6.0]),
+)
+
+# Beale's cycling example (standard form); Dantzig cycles on it without
+# an anti-cycling rule
+BEALE = (
+    np.array([-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0]),
+    np.array(
+        [
+            [0.25, -60.0, -0.04, 9.0, 1.0, 0.0, 0.0],
+            [0.5, -90.0, -0.02, 3.0, 0.0, 1.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
+        ]
+    ),
+    np.array([0.0, 0.0, 1.0]),
+)
+
+
 class TestKnownSolutions:
     def test_simple_max(self):
-        # max x + y  s.t. x + 2y <= 4, 3x + y <= 6  ->  x=8/5, y=6/5
-        c = np.array([-1.0, -1.0, 0.0, 0.0])
-        A = np.array([[1.0, 2.0, 1.0, 0.0], [3.0, 1.0, 0.0, 1.0]])
-        b = np.array([4.0, 6.0])
-        res = simplex_min(c, A, b)
+        res = simplex_min(*SIMPLE_MAX)
         assert res.objective == pytest.approx(-14.0 / 5.0)
         np.testing.assert_allclose(res.x[:2], [8.0 / 5.0, 6.0 / 5.0])
 
@@ -60,19 +79,21 @@ class TestKnownSolutions:
             simplex_min(np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]), np.array([0.0]))
 
     def test_degenerate_cycling_guard(self):
-        # Beale's cycling example (standard form); Dantzig cycles on it
-        # without an anti-cycling rule
-        c = np.array([-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0])
-        A = np.array(
-            [
-                [0.25, -60.0, -0.04, 9.0, 1.0, 0.0, 0.0],
-                [0.5, -90.0, -0.02, 3.0, 0.0, 1.0, 0.0],
-                [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
-            ]
-        )
-        b = np.array([0.0, 0.0, 1.0])
-        res = simplex_min(c, A, b)
+        res = simplex_min(*BEALE)
         assert res.objective == pytest.approx(-0.05)
+        assert res.iterations == 5
+
+    def test_bland_rule_after_one_stalled_pivot(self, monkeypatch):
+        # the first degenerate pivot switches to Bland's rule, which takes
+        # a longer path to the same optimum
+        monkeypatch.setattr(seminmf.simplex, "STALL_LIMIT", 1)
+        res = simplex_min(*BEALE)
+        assert res.objective == pytest.approx(-0.05)
+        assert res.iterations == 7
+
+    def test_pivot_budget_exhausted(self):
+        with pytest.raises(NumericalError, match="iteration limit"):
+            simplex_min(*SIMPLE_MAX, max_iter=1)
 
     def test_redundant_rows_dropped(self):
         # duplicated constraint leaves an artificial basic at zero

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from seminmf.linalg import least_squares_left, random_gaussian, random_uniform
-from seminmf.solver import cd_semi_nmf, residual_row_update
+from seminmf.solver import cd_semi_nmf
+
+from oracles import residual_row_update
 
 TIGHT_2x3 = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
 
