@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import as_matrix, make_rng
+from .linalg import as_matrix, make_rng, pow2_scale
 
 __all__ = ["kmeans"]
 
@@ -82,9 +82,12 @@ def kmeans(M, k: int, seed: int) -> np.ndarray:
     Raises ValueError when k is out of range.  Runs at most MAX_ITER
     Lloyd iterations.  Deterministic for a fixed seed; empty clusters
     are re-seeded to the column farthest from its assigned centroid.
+    M is divided by ``pow2_scale(M)`` first: the division is exact, so
+    the assignment is the same at every power-of-two scale of M, and
+    squared distances can neither overflow nor underflow.
     """
     X = as_matrix(M, "M")
     n = X.shape[1]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for {n} columns")
-    return _lloyd(X, k, seed, MAX_ITER)
+    return _lloyd(X / pow2_scale(X), k, seed, MAX_ITER)

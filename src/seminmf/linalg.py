@@ -138,8 +138,12 @@ def best_rank_error(M, r: int) -> float:
 def least_squares_left(M, V) -> np.ndarray:
     """Minimize ||M - X V||_F over X; minimum-norm X when V is rank-deficient.
 
-    Singular values of V below ``max(V.shape) * sigma_max * 1e-12`` are
-    treated as zero (pseudoinverse cutoff).
+    With V' = Q R (thin QR, r <= n rows of V) the minimizer solves
+    R X' = Q' M'.  That path runs when every |R_kk| exceeds
+    ``rcond * max|R_kk|``, ``rcond = max(V.shape) * 1e-12``.  Otherwise
+    (r > n, or a zero or duplicated row of V) the solve falls back to
+    ``np.linalg.lstsq``'s pseudoinverse, which treats singular values of
+    V below ``rcond * sigma_max`` as zero.
     """
     M = as_matrix(M, "M")
     V = as_matrix(V, "V")
@@ -150,5 +154,10 @@ def least_squares_left(M, V) -> np.ndarray:
         )
     rcond = max(V.shape) * PINV_RTOL
     # min ||M - XV|| == min over rows of ||V.T x - m||, solved column-block wise
+    if 0 < V.shape[0] <= V.shape[1]:
+        Q, R = np.linalg.qr(V.T)
+        diag = np.abs(np.diag(R))
+        if diag.min() > rcond * diag.max():
+            return np.linalg.solve(R, (M @ Q).T).T
     Xt, *_ = np.linalg.lstsq(V.T, M.T, rcond=rcond)
     return Xt.T

@@ -1,11 +1,13 @@
 """k-means tests, including the exhaustive small-instance oracle."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from seminmf.kmeans import _lloyd, kmeans
+from seminmf.linalg import random_gaussian
 
 
 def brute_force_two_partition(X):
@@ -80,3 +82,14 @@ class TestKmeans:
         assign = kmeans(X, 5, seed=9)
         assert assign.shape == (17,)
         assert np.all((assign >= 0) & (assign < 5))
+
+    @pytest.mark.parametrize("k", [-600, -540, 540, 600])
+    def test_power_of_two_scale_invariance(self, k):
+        # squared distances at 2^+-540 overflow or underflow unless the
+        # columns are brought to unit scale first
+        X = random_gaussian(6, 9, seed=5)
+        want = kmeans(X, 3, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kmeans(np.ldexp(X, k), 3, seed=1)
+        np.testing.assert_array_equal(got, want)

@@ -131,6 +131,29 @@ class TestLeastSquaresLeft:
         with pytest.raises(ValueError, match="column mismatch"):
             least_squares_left(np.ones((2, 3)), np.ones((2, 4)))
 
+    def test_qr_path_matches_lstsq_when_ill_conditioned(self, lstsq_calls):
+        # V = Q1 diag(s) Q2' with cond(V) = 1e6 still takes the QR path
+        Q1, _ = np.linalg.qr(random_gaussian(8, 8, seed=30))
+        Q2, _ = np.linalg.qr(random_gaussian(40, 8, seed=31))
+        V = (Q1 * np.logspace(0, -6, 8)) @ Q2.T
+        M = random_gaussian(12, 40, seed=32)
+        Xt, *_ = np.linalg.lstsq(V.T, M.T, rcond=None)
+        want = np.linalg.norm(M - Xt.T @ V)
+        lstsq_calls.clear()
+        X = least_squares_left(M, V)
+        assert lstsq_calls == []
+        assert abs(np.linalg.norm(M - X @ V) - want) <= 1e-12 * want
+
+    def test_more_rows_than_columns_falls_back_to_min_norm(self, lstsq_calls):
+        # r > n: V has a null space of dimension r - n, so only the
+        # pseudoinverse gives the minimum-norm minimizer M pinv(V)
+        V = random_gaussian(5, 3, seed=33)
+        M = random_gaussian(4, 3, seed=34)
+        X = least_squares_left(M, V)
+        assert len(lstsq_calls) == 1
+        np.testing.assert_allclose(X, M @ np.linalg.pinv(V), atol=1e-12)
+        np.testing.assert_allclose(X @ V, M, atol=1e-12)
+
 
 class TestRandom:
     def test_uniform_range(self):

@@ -9,6 +9,14 @@ from seminmf.solver import cd_semi_nmf
 from oracles import residual_row_update
 
 TIGHT_2x3 = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
+ILL_POSED_2x3 = np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+def zero_v0_row_input():
+    M = random_gaussian(6, 9, seed=12)
+    V0 = random_uniform(3, 9, seed=13)
+    V0[2] = 0.0
+    return M, V0
 
 
 def monotone_slack(errors, M):
@@ -88,13 +96,102 @@ class TestCdSemiNmf:
         # a zero V0 row yields a zero U column after the first solve; the
         # re-seed gives it the leading residual direction and the row
         # becomes active without breaking descent
-        M = random_gaussian(6, 9, seed=12)
-        V0 = random_uniform(3, 9, seed=13)
-        V0[2] = 0.0
+        M, V0 = zero_v0_row_input()
         fact, trace = cd_semi_nmf(M, V0, max_iter=40)
         slack = monotone_slack(trace.errors, M)
         assert np.all(np.diff(trace.errors) <= slack)
         assert np.linalg.norm(fact.V[2]) > 0
+
+    def test_u_norms_grow_on_an_unattained_infimum(self):
+        # ILL_POSED_2x3 has no best width-2 semi-NMF: the error keeps
+        # falling while ||U||_F grows without bound (ratio 8.0-9.3 here);
+        # exact-width products converge with ||U||_F settled (1.001 on
+        # test_kkt_at_exact_solution's product, at most 1.12 on others)
+        for seed in range(3):
+            V0 = random_uniform(2, 3, seed=seed)
+            _, trace = cd_semi_nmf(ILL_POSED_2x3, V0, max_iter=1000)
+            assert trace.u_norms.shape == trace.errors.shape
+            assert trace.u_norms[999] / trace.u_norms[9] > 5
+        M = random_gaussian(8, 3, seed=50) @ (random_uniform(3, 12, seed=51) + 0.01)
+        _, trace = cd_semi_nmf(M, random_uniform(3, 12, seed=52), max_iter=1000)
+        assert trace.u_norms[999] / trace.u_norms[9] < 1.01
+        for seed in range(5):
+            M = random_gaussian(8, 3, seed=100 + seed) @ (random_uniform(3, 12, seed=200 + seed) + 0.01)
+            _, trace = cd_semi_nmf(M, random_uniform(3, 12, seed=300 + seed), max_iter=1000)
+            assert trace.u_norms[999] / trace.u_norms[9] < 1.2
+
+    def test_u_norms_and_phase_times(self):
+        M = random_gaussian(10, 14, seed=6)
+        fact, trace = cd_semi_nmf(M, random_uniform(3, 14, seed=7), max_iter=20)
+        assert trace.u_norms[-1] == pytest.approx(np.linalg.norm(fact.U), rel=1e-12)
+        phases = (trace.lstsq_s, trace.sweep_s, trace.error_s)
+        assert all(t > 0.0 for t in phases)
+        assert sum(phases) <= trace.wall_time
+
+
+class TestOneIteration:
+    """One CD iteration against least_squares_left plus the from-scratch row oracle."""
+
+    @staticmethod
+    def reference(M, V0):
+        U = least_squares_left(M, V0)
+        V = V0.copy()
+        skipped = []
+        for i in range(V.shape[0]):
+            try:
+                V[i] = residual_row_update(M, U, V, i)
+            except ValueError:
+                skipped.append(i)
+        return U, V, skipped
+
+    def check(self, M, V0):
+        U, V, skipped = self.reference(M, V0)
+        fact, trace = cd_semi_nmf(M, V0, max_iter=1)
+        assert np.linalg.norm(fact.U - U) <= 1e-12 * np.linalg.norm(U)
+        assert np.linalg.norm(fact.V - V) <= 1e-12 * np.linalg.norm(V)
+        err = np.linalg.norm(M - U @ V)
+        assert abs(trace.errors[0] - err) <= 1e-12 * np.linalg.norm(M)
+        return skipped, fact
+
+    def test_generic_start(self):
+        for seed in range(4):
+            M = random_gaussian(9, 13, seed=seed + 70)
+            V0 = random_uniform(4, 13, seed=seed + 80)
+            skipped, _ = self.check(M, V0)
+            assert skipped == []
+
+    def test_degenerate_column_is_skipped(self):
+        # M = A V0[:2] + E with the rows of E orthogonal to the row space
+        # of V0: the least-squares U is [A, ~0], so U's last column is
+        # degenerate while its V row is nonzero (no re-seed) and the
+        # sweep must leave that row alone
+        V0 = random_uniform(3, 12, seed=90)
+        A = random_gaussian(7, 2, seed=91)
+        N = random_gaussian(7, 12, seed=92)
+        E = N - least_squares_left(N, V0) @ V0
+        M = A @ V0[:2] + E
+        skipped, fact = self.check(M, V0)
+        assert skipped == [2]
+        np.testing.assert_array_equal(fact.V[2], V0[2])
+        assert np.any(fact.V[:2] != V0[:2])
+
+
+class TestUSolveBranch:
+    """least_squares_left's pseudoinverse fallback runs only on rank-deficient V."""
+
+    def test_full_rank_run_never_falls_back(self, lstsq_calls):
+        M = random_gaussian(50, 100, seed=40)
+        V0 = random_uniform(10, 100, seed=41)
+        _, trace = cd_semi_nmf(M, V0, max_iter=100)
+        assert trace.iterations_run == 100
+        assert len(lstsq_calls) == 0
+
+    def test_zero_v0_row_falls_back_once(self, lstsq_calls):
+        # the zero row makes the first solve rank-deficient; after the
+        # re-seed the row is active and every later solve takes the QR path
+        M, V0 = zero_v0_row_input()
+        cd_semi_nmf(M, V0, max_iter=40)
+        assert len(lstsq_calls) == 1
 
 
 class TestResidualRowUpdate:
