@@ -37,12 +37,12 @@ from .halfspace import (
 from .initializers import InitStrategy, init_a2, init_a3, init_km, init_rd, initialize
 from .kmeans import kmeans
 from .linalg import (
-    SvdTriplet,
+    Svd,
     best_rank_error,
     least_squares_left,
     random_gaussian,
     random_uniform,
-    truncated_svd,
+    thin_svd,
 )
 from .matio import read_matrix, write_matrix
 from .solver import SolveTrace, cd_semi_nmf
@@ -59,7 +59,7 @@ __all__ = [
     "NumericalError",
     "SemiRankReport",
     "SolveTrace",
-    "SvdTriplet",
+    "Svd",
     "TrialConfig",
     "best_rank_error",
     "bisection_epsilon",
@@ -86,6 +86,6 @@ __all__ = [
     "run_experiment",
     "semi_rank",
     "sign_flip",
-    "truncated_svd",
+    "thin_svd",
     "write_matrix",
 ]

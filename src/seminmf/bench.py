@@ -25,7 +25,7 @@ import numpy as np
 
 from .exceptions import NumericalError
 from .initializers import STRATEGY_KINDS, InitStrategy, initialize
-from .linalg import as_matrix, best_rank_error, frob, least_squares_left, make_rng
+from .linalg import Svd, as_matrix, best_rank_error, frob, least_squares_left, make_rng, thin_svd
 from .solver import cd_semi_nmf
 
 __all__ = [
@@ -146,7 +146,7 @@ def config_problems(fields: dict) -> list[str]:
             errs.append(f"inner_dim: {k!r} invalid for semi_nonneg")
     if gen == "noisy_semi":
         d = f.get("delta")
-        if not isinstance(d, (int, float)) or (not math.isinf(d) and d < 0):
+        if not isinstance(d, (int, float)) or not d >= 0:
             errs.append(f"delta: {d!r} invalid for noisy_semi")
     for s in f["strategies"]:
         if s not in STRATEGY_KINDS:
@@ -237,14 +237,16 @@ def _failure_record(cfg, ti, seed, strategy, msg):
     )
 
 
-def run_start(M, r: int, strategy: InitStrategy, max_iter: int):
+def run_start(M, r: int, strategy: InitStrategy, max_iter: int, svd: Svd):
     """One start and ``max_iter`` coordinate descent iterations from it.
+
+    ``svd`` is the thin SVD of M, shared by every start on M.
 
     Returns (Factorization, errors, epsilon_star): errors[0] is the
     start's error and errors[t] the error after t iterations;
     epsilon_star is the A3 shift, None for the other strategies.
     """
-    init = initialize(M, r, strategy)
+    init = initialize(M, r, strategy, svd)
     U0 = init.U0 if init.U0 is not None else least_squares_left(M, init.V0)
     init_err = frob(M - U0 @ init.V0)
     fact, trace = cd_semi_nmf(M, init.V0, max_iter)
@@ -256,7 +258,8 @@ def run_start(M, r: int, strategy: InitStrategy, max_iter: int):
 def _run_trial(cfg: TrialConfig, ci: int, ti: int, master_seed: int) -> list[ExperimentRecord]:
     matrix_seed = _trial_seed(master_seed, ci, ti, 0)
     M = _generate(cfg, matrix_seed)
-    best_err = best_rank_error(M, cfg.r)
+    svd = thin_svd(M)
+    best_err = svd.tail_error(cfg.r)
     frob_m = frob(M)
 
     records = []
@@ -270,7 +273,7 @@ def _run_trial(cfg: TrialConfig, ci: int, ti: int, master_seed: int) -> list[Exp
             t0 = time.perf_counter()
             try:
                 strat = InitStrategy(kind=strategy, seed=seed)
-                _, errors, eps = run_start(M, cfg.r, strat, cfg.max_iter)
+                _, errors, eps = run_start(M, cfg.r, strat, cfg.max_iter, svd)
             except (ValueError, NumericalError) as exc:
                 failure = str(exc)
                 break

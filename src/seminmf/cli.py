@@ -19,7 +19,7 @@ The SEMINMF_SEED environment variable supplies the default seed.
 Suite files are flat text: one config per line of ``key=value`` tokens,
 ``#`` comments allowed.  Keys: generator (nonnegative | semi_nonneg |
 noisy_semi), m, n, r, inner_dim (semi_nonneg only, default r+10), delta
-(noisy_semi only; ``inf`` allowed), strategies (comma list of
+(noisy_semi only; >= 0, ``inf`` allowed), strategies (comma list of
 rd,km,a2,a3), max_iter, checkpoints (comma list), restarts, name.
 """
 
@@ -45,7 +45,7 @@ from .exceptions import NumericalError
 from .factors import semi_rank
 from .halfspace import ZERO_TOL
 from .initializers import STRATEGY_KINDS, InitStrategy
-from .linalg import best_rank_error, frob
+from .linalg import frob, thin_svd
 from .matio import read_matrix, write_matrix
 
 USAGE_ERROR = 2
@@ -106,9 +106,10 @@ def _cmd_factorize(args) -> int:
         raise UsageError(f"--rank {args.rank} exceeds min(matrix dimensions) {min(M.shape)}")
 
     strat = InitStrategy(kind=args.init, seed=args.seed, a3_rel_prec=args.rel_prec)
-    fact, errors, eps = bench.run_start(M, args.rank, strat, args.maxiter)
+    svd = thin_svd(M)
+    fact, errors, eps = bench.run_start(M, args.rank, strat, args.maxiter, svd)
 
-    best = best_rank_error(M, args.rank)
+    best = svd.tail_error(args.rank)
     fm = frob(M)
     qual = quality_from_error(fact.frob_error, best, fm)
     if eps is not None:

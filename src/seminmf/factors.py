@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .halfspace import ZERO_TOL, HalfspaceCertificate, lp_feasibility, nonzero_columns
-from .linalg import as_matrix, frob, pow2_scale
+from .linalg import as_matrix, frob, pow2_scale, thin_svd
 
 __all__ = [
     "Factorization",
@@ -176,16 +176,22 @@ def semi_rank(M, zero_tol: float = ZERO_TOL) -> SemiRankReport:
     M; when it is feasible the factorization keeps the same inner
     dimension, otherwise the lift adds one.
 
+    Columns with 2-norm at most ``zero_tol * max|M|`` count as zero;
+    ``zero_tol`` must lie in [0, 1), so the column holding max|M| stays.
+
     The work is done on M / s, where s = ``pow2_scale(M)`` is a power of
     two.  The division is exact, so the rank, the certificate and V do
     not depend on the scale of M, and column norms neither underflow nor
     overflow; U and the error are scaled back by s.
     """
     M = as_matrix(M, "M")
+    if not 0.0 <= zero_tol < 1.0:
+        raise ValueError(f"zero_tol must lie in [0, 1), got {zero_tol!r}")
     m, n = M.shape
     s = pow2_scale(M)
     M = M / s
-    Uf, S, Vt = np.linalg.svd(M, full_matrices=False)
+    svd = thin_svd(M)
+    S = svd.S
     cutoff = max(m, n) * RANK_RTOL * (S[0] if S.size else 0.0)
     r = int(np.sum(S > cutoff))
 
@@ -194,19 +200,16 @@ def semi_rank(M, zero_tol: float = ZERO_TOL) -> SemiRankReport:
         fact = Factorization(U=np.zeros((m, 0)), V=np.zeros((0, n)), frob_error=frob(M) * s)
         return SemiRankReport(rank=0, semi_rank=0, certificate=cert, factorization=fact)
 
-    A = Uf[:, :r] * S[:r]
-    B = Vt[:r, :]
-    A, B = sign_flip(A, B)
-
+    A, B = svd.pair(r)
     scale = float(np.max(np.abs(M)))
     keep = np.linalg.norm(M, axis=0) > zero_tol * scale
     keep &= np.linalg.norm(B, axis=0) > 0.0
+    # zeroed first, a dropped column cannot decide the sign of a row
+    A, B = sign_flip(A, np.where(keep, B, 0.0))
     cert = lp_feasibility(B[:, keep])
 
     if cert.feasible:
-        Bc = B.copy()
-        Bc[:, ~keep] = 0.0
-        inner = exact_semi_nmf_same_rank(A, Bc, cert.z)
+        inner = exact_semi_nmf_same_rank(A, B, cert.z)
         rs = r
     else:
         inner = lift_rank_plus_one(A, B)

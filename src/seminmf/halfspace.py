@@ -151,8 +151,8 @@ def bisection_epsilon(B, rel_prec: float = 1e-3) -> BisectionResult:
     B = as_matrix(B, "B")
     if B.size == 0:
         raise ValueError("B must be nonempty")
-    if rel_prec <= 0:
-        raise ValueError("rel_prec must be positive")
+    if not 0.0 < rel_prec < np.inf:
+        raise ValueError(f"rel_prec must be positive and finite, got {rel_prec!r}")
     eps_plus = float(max(0.0, -B.min()))
     trace: list[tuple[float, bool]] = []
 

@@ -20,7 +20,7 @@ import numpy as np
 from .factors import X_FLOOR, lift_rank_plus_one, sign_flip
 from .halfspace import BisectionResult, bisection_epsilon
 from .kmeans import kmeans
-from .linalg import as_matrix, least_squares_left, random_uniform, truncated_svd
+from .linalg import Svd, as_matrix, least_squares_left, random_uniform, thin_svd
 
 __all__ = [
     "InitStrategy",
@@ -80,35 +80,18 @@ def init_km(M, r: int, seed: int) -> np.ndarray:
     return V0
 
 
-def init_a2(M, r: int):
-    """Lift of the rank-(r-1) truncated SVD; returns (U0, V0).
-
-    The starting error ||M - U0 V0|| equals the best rank-(r-1)
-    approximation error.  Requires r >= 2.
-    """
-    M = as_matrix(M, "M")
+def _a2_start(svd: Svd, r: int):
     if r < 2:
         raise ValueError("a2 needs r >= 2 (it lifts a rank r-1 factorization)")
-    if r > min(M.shape):
-        raise ValueError(f"r={r} out of range for a {M.shape[0]}x{M.shape[1]} matrix")
-    trip = truncated_svd(M, r - 1).scale_left()
-    A, B = sign_flip(trip.A, trip.B)
-    fact = lift_rank_plus_one(A, B)
+    if r > svd.S.size:
+        m, n = svd.U.shape[0], svd.Vt.shape[1]
+        raise ValueError(f"r={r} out of range for a {m}x{n} matrix")
+    fact = lift_rank_plus_one(*sign_flip(*svd.pair(r - 1)))
     return fact.U, fact.V
 
 
-def init_a3(M, r: int, rel_prec: float = 1e-3):
-    """Shift-and-correct start from the rank-r truncated SVD.
-
-    Returns (U0, V0, BisectionResult).  V0 is nonnegative by
-    construction for every input; when the bisection finds eps = 0 the
-    start attains the best rank-r error exactly.
-    """
-    M = as_matrix(M, "M")
-    if not 1 <= r <= min(M.shape):
-        raise ValueError(f"r={r} out of range for a {M.shape[0]}x{M.shape[1]} matrix")
-    trip = truncated_svd(M, r).scale_left()
-    _, B = sign_flip(trip.A, trip.B)
+def _a3_start(M, svd: Svd, r: int, rel_prec: float):
+    _, B = sign_flip(*svd.pair(r))
     bis = bisection_epsilon(B, rel_prec=rel_prec)
     # x >= 1 - tol on the constrained columns; the floor only matters for
     # columns whose shifted version vanished, and using the floored x in
@@ -121,14 +104,33 @@ def init_a3(M, r: int, rel_prec: float = 1e-3):
     return U0, V0, bis
 
 
-def initialize(M, r: int, strategy: InitStrategy) -> InitResult:
-    """Dispatch on strategy kind."""
+def init_a2(M, r: int):
+    """Lift of the rank-(r-1) truncated SVD; returns (U0, V0).
+
+    The starting error ||M - U0 V0|| equals the best rank-(r-1)
+    approximation error.  Requires r >= 2.
+    """
+    return _a2_start(thin_svd(M), r)
+
+
+def init_a3(M, r: int, rel_prec: float = 1e-3):
+    """Shift-and-correct start from the rank-r truncated SVD.
+
+    Returns (U0, V0, BisectionResult).  V0 is nonnegative by
+    construction for every input; when the bisection finds eps = 0 the
+    start attains the best rank-r error exactly.
+    """
+    return _a3_start(M, thin_svd(M), r, rel_prec)
+
+
+def initialize(M, r: int, strategy: InitStrategy, svd: Svd) -> InitResult:
+    """Dispatch on strategy kind; a2 and a3 start from ``svd``, the thin SVD of M."""
     if strategy.kind == "rd":
         return InitResult(V0=init_rd(M, r, strategy.seed))
     if strategy.kind == "km":
         return InitResult(V0=init_km(M, r, strategy.seed))
     if strategy.kind == "a2":
-        U0, V0 = init_a2(M, r)
+        U0, V0 = _a2_start(svd, r)
         return InitResult(V0=V0, U0=U0)
-    U0, V0, bis = init_a3(M, r, strategy.a3_rel_prec)
+    U0, V0, bis = _a3_start(M, svd, r, strategy.a3_rel_prec)
     return InitResult(V0=V0, U0=U0, bisection=bis)

@@ -1,8 +1,12 @@
-"""Dense numerical kernels: validation, truncated SVD, least squares, seeded RNG.
+"""Dense numerical kernels: validation, thin SVD, least squares, seeded RNG.
 
 Matrices are plain float64 numpy arrays (2-D).  Public entry points run
 them through :func:`as_matrix`, which rejects NaN/Inf so that every
 downstream kernel can assume finite data.
+
+Each problem gets one thin SVD (:class:`Svd`).  Its tail is the best
+rank-r error, the quality baseline; its rank-k truncations are the
+factor pairs behind the A2 and A3 starts and the exact path.
 
 Randomness uses numpy's PCG64 bit generator.  Every randomized function
 takes an explicit integer seed and builds a fresh generator from it, so
@@ -11,7 +15,7 @@ outputs are a pure function of (arguments, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,9 +23,8 @@ __all__ = [
     "as_matrix",
     "frob",
     "pow2_scale",
-    "SvdTriplet",
-    "truncated_svd",
-    "singular_values",
+    "Svd",
+    "thin_svd",
     "best_rank_error",
     "least_squares_left",
     "make_rng",
@@ -78,61 +81,38 @@ def random_gaussian(m: int, n: int, seed: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SvdTriplet:
-    """Rank-k factorization M ~ A @ diag(S) @ B from a truncated SVD.
+class Svd:
+    """Thin SVD M = U @ diag(S) @ Vt with S nonincreasing."""
 
-    ``A`` is m-by-k with orthonormal columns and ``B`` is k-by-n with
-    orthonormal rows while ``scaled`` is False.  ``scale_left`` folds the
-    singular values into A, after which M ~ A @ B.
-    """
-
-    A: np.ndarray
+    U: np.ndarray
     S: np.ndarray
-    B: np.ndarray
-    scaled: bool = False
+    Vt: np.ndarray
 
-    def scale_left(self) -> "SvdTriplet":
-        if self.scaled:
-            return self
-        return replace(self, A=self.A * self.S, scaled=True)
+    def pair(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rank-k factor pair (U_k diag(S_k), Vt_k), 1 <= k <= min(m, n)."""
+        if not 1 <= k <= self.S.size:
+            m, n = self.U.shape[0], self.Vt.shape[1]
+            raise ValueError(f"k={k} out of range for a {m}x{n} matrix")
+        return self.U[:, :k] * self.S[:k], self.Vt[:k]
+
+    def tail_error(self, k: int) -> float:
+        """Frobenius error of the best rank-k approximation: sqrt(sum of tail sigma^2)."""
+        if k >= self.S.size:
+            return 0.0
+        return float(np.sqrt(np.sum(self.S[k:] ** 2)))
 
 
-def truncated_svd(M, k: int) -> SvdTriplet:
-    """Top-k singular triplet of M.
-
-    Computes a full dense SVD and truncates; at the matrix sizes this
-    package targets, that is both simpler and more accurate than an
-    iterative scheme.
-
-    Parameters
-    ----------
-    M : array_like, shape (m, n)
-    k : int, 1 <= k <= min(m, n)
-
-    Returns
-    -------
-    SvdTriplet with S sorted nonincreasing.
-    """
+def thin_svd(M) -> Svd:
+    """Dense thin SVD of M; at the matrix sizes this package targets, a
+    full factorization is simpler and more accurate than an iterative one."""
     M = as_matrix(M, "M")
-    m, n = M.shape
-    if not 1 <= k <= min(m, n):
-        raise ValueError(f"k={k} out of range for a {m}x{n} matrix")
     U, S, Vt = np.linalg.svd(M, full_matrices=False)
-    return SvdTriplet(A=U[:, :k].copy(), S=S[:k].copy(), B=Vt[:k, :].copy())
-
-
-def singular_values(M) -> np.ndarray:
-    """All singular values of M, nonincreasing."""
-    M = as_matrix(M, "M")
-    return np.linalg.svd(M, compute_uv=False)
+    return Svd(U, S, Vt)
 
 
 def best_rank_error(M, r: int) -> float:
-    """Frobenius error of the best rank-r approximation: sqrt(sum of tail sigma^2)."""
-    s = singular_values(M)
-    if r >= s.size:
-        return 0.0
-    return float(np.sqrt(np.sum(s[r:] ** 2)))
+    """Frobenius error of the best rank-r approximation of M."""
+    return thin_svd(M).tail_error(r)
 
 
 def least_squares_left(M, V) -> np.ndarray:

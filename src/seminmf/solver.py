@@ -25,7 +25,7 @@ import numpy as np
 
 from .exceptions import NumericalError
 from .factors import make_factorization
-from .linalg import as_matrix, least_squares_left, truncated_svd
+from .linalg import as_matrix, least_squares_left, thin_svd
 
 __all__ = ["SolveTrace", "cd_semi_nmf"]
 
@@ -64,7 +64,7 @@ def _reseed_zero_rows(M, U, V):
     for i in np.flatnonzero(norms2 < DEGENERATE_RTOL * norms2.sum()):
         if np.any(V[i] != 0.0):
             continue
-        U[:, i] = truncated_svd(M - U @ V, 1).A[:, 0]
+        U[:, i] = thin_svd(M - U @ V).U[:, 0]
         reseeded = True
     return U.T @ U if reseeded else G
 

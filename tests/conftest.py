@@ -4,15 +4,25 @@ import numpy as np
 import pytest
 
 
-@pytest.fixture
-def lstsq_calls(monkeypatch):
-    """Count np.linalg.lstsq calls: least_squares_left's pseudoinverse fallback."""
+def _count_calls(monkeypatch, name):
     calls = []
-    lstsq = np.linalg.lstsq
+    fn = getattr(np.linalg, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return lstsq(*args, **kwargs)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+@pytest.fixture
+def lstsq_calls(monkeypatch):
+    """Count np.linalg.lstsq calls: least_squares_left's pseudoinverse fallback."""
+    return _count_calls(monkeypatch, "lstsq")
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Count np.linalg.svd calls: one thin SVD per problem."""
+    return _count_calls(monkeypatch, "svd")

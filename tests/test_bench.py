@@ -16,7 +16,7 @@ from seminmf.bench import (
 )
 from seminmf.factors import semi_rank
 from seminmf.halfspace import halfspace_feasible
-from seminmf.linalg import best_rank_error, random_gaussian, truncated_svd
+from seminmf.linalg import best_rank_error, random_gaussian, thin_svd
 from seminmf.solver import cd_semi_nmf
 
 from oracles import oracle_halfplane_2d, oracle_rank1_grid
@@ -25,8 +25,7 @@ from oracles import oracle_halfplane_2d, oracle_rank1_grid
 class TestQuality:
     def test_best_rank_r_gives_zero(self):
         M = random_gaussian(8, 10, seed=0)
-        trip = truncated_svd(M, 3).scale_left()
-        assert quality(M, trip.A, trip.B, 3) == pytest.approx(0.0, abs=1e-6)
+        assert quality(M, *thin_svd(M).pair(3), 3) == pytest.approx(0.0, abs=1e-6)
 
     def test_double_error_gives_hundred(self):
         assert quality_from_error(2.0, 1.0, 10.0) == pytest.approx(100.0)
@@ -41,8 +40,7 @@ class TestQuality:
 
     def test_sentinel_zero_residual(self):
         M = random_gaussian(5, 3, seed=1)  # rank 3 at r = 3: best error ~ 0
-        trip = truncated_svd(M, 3).scale_left()
-        assert quality(M, trip.A, trip.B, 3) == 0.0
+        assert quality(M, *thin_svd(M).pair(3), 3) == 0.0
 
     def test_sentinel_infinite(self):
         M = random_gaussian(5, 3, seed=2)
@@ -91,8 +89,9 @@ class TestTrialConfig:
             TrialConfig("semi_nonneg", 5, 5, 2)
 
     def test_validates_delta(self):
-        with pytest.raises(ValueError, match="delta"):
-            TrialConfig("noisy_semi", 5, 5, 2)
+        for delta in (None, -1.0, math.nan, -math.inf):
+            with pytest.raises(ValueError, match="delta"):
+                TrialConfig("noisy_semi", 5, 5, 2, delta=delta)
 
     def test_default_name(self):
         cfg = TrialConfig("noisy_semi", 5, 6, 2, delta=math.inf)
@@ -133,6 +132,13 @@ class TestRunExperiment:
         by_strategy = {r.strategy: r for r in recs}
         assert by_strategy["a2"].error is not None  # a2 cannot run at r = 1
         assert by_strategy["a3"].error is None
+
+    def test_one_svd_per_trial(self, svd_calls):
+        # the quality baseline and the a2 and a3 starts share one SVD of M
+        cfg = TrialConfig("noisy_semi", 10, 14, 3, delta=5.0, max_iter=5, checkpoints=(5,))
+        recs = run_experiment([cfg], trials=1, master_seed=6)
+        assert [r.strategy for r in recs if r.error is None] == ["rd", "km", "a2", "a3"]
+        assert len(svd_calls) == 1
 
     def test_a3_records_epsilon(self):
         recs = run_experiment([self.CFG], trials=1, master_seed=5)

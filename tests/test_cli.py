@@ -85,6 +85,14 @@ class TestRank:
         assert main(["rank", str(fixture_file)]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("zero_tol", ["nan", "inf", "10"])
+    def test_bad_zero_tol_exits_2(self, tmp_path, capsys, zero_tol):
+        # each of these used to drop every column and report V = 0, exit 0
+        p = tmp_path / "g.csv"
+        write_csv(p, np.random.default_rng(0).standard_normal((4, 7)))
+        assert main(["rank", str(p), "--zero-tol", zero_tol]) == 2
+        assert "zero_tol" in capsys.readouterr().err
+
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"
         p.write_text("1,2\n3\n")
@@ -127,6 +135,22 @@ class TestFactorize:
         write_csv(p, np.ldexp(random_gaussian(6, 9, seed=5), k))
         assert main(["factorize", str(p), "--rank", "3", "--init", init]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rel_prec", ["nan", "inf"])
+    def test_bad_rel_prec_exits_2(self, tmp_path, capsys, rel_prec):
+        # each of these used to skip the bisection and start from eps_plus
+        p = tmp_path / "g.csv"
+        write_csv(p, np.random.default_rng(0).standard_normal((4, 7)))
+        rc = main(["factorize", str(p), "--rank", "3", "--init", "a3",
+                   "--maxiter", "5", "--rel-prec", rel_prec])
+        assert rc == 2
+        assert "rel_prec" in capsys.readouterr().err
+
+    def test_a3_runs_one_svd(self, tmp_path, capsys, svd_calls):
+        p = tmp_path / "m.csv"
+        write_csv(p, random_gaussian(6, 9, seed=3))
+        assert main(["factorize", str(p), "--rank", "3", "--init", "a3", "--maxiter", "5"]) == 0
+        assert len(svd_calls) == 1
 
     def test_maxiter_zero_rejected(self, tmp_path, capsys):
         p = tmp_path / "m.csv"
@@ -206,11 +230,17 @@ class TestBench:
 
     def test_schema_violations_listed(self, tmp_path, capsys):
         suite = tmp_path / "bad.cfg"
-        suite.write_text("generator=warp m=0 n=5 r=9 delta=maybe strategies=rd,zz\n")
+        suite.write_text(
+            "generator=warp m=0 n=5 r=9 delta=maybe strategies=rd,zz\n"
+            "generator=noisy_semi m=8 n=10 r=2 delta=nan\n"
+            "generator=noisy_semi m=8 n=10 r=2 delta=-inf\n"
+        )
         assert main(["bench", "--suite", str(suite), "--trials", "1", "--out", "/dev/null"]) == 2
         err = capsys.readouterr().err
         for field in ("generator", "delta", "m/n", "strategies"):
             assert field in err
+        assert "suite line 2: delta: nan invalid" in err
+        assert "suite line 3: delta: -inf invalid" in err
 
     def test_needs_exactly_one_source(self, capsys):
         assert main(["bench", "--trials", "1"]) == 2

@@ -11,7 +11,7 @@ from seminmf.factors import (
     sign_flip,
 )
 from seminmf.halfspace import halfspace_feasible
-from seminmf.linalg import random_gaussian, random_uniform
+from seminmf.linalg import random_gaussian, random_uniform, thin_svd
 
 TIGHT_2x3 = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
 ASYM_3x3 = np.array([[-1.0, 0.0, -1.0], [0.0, -1.0, -1.0], [1.0, 1.0, 2.0]])
@@ -120,10 +120,7 @@ class TestExactSameRank:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             M = rng.standard_normal((6, 3)) @ rng.random((3, 10))
-            from seminmf.linalg import truncated_svd
-
-            trip = truncated_svd(M, 3).scale_left()
-            A, B = sign_flip(trip.A, trip.B)
+            A, B = sign_flip(*thin_svd(M).pair(3))
             cert = halfspace_feasible(B)
             assert cert.feasible
             alpha_parts = np.maximum(0.0, (-B / np.maximum(B.T @ cert.z, 1e-12)).max(axis=1))
@@ -193,6 +190,24 @@ class TestSemiRank:
     def test_transpose_asymmetry(self):
         assert semi_rank(ASYM_3x3).semi_rank == 2
         assert semi_rank(ASYM_3x3.T).semi_rank == 3
+
+    def test_one_svd(self, svd_calls):
+        semi_rank(random_gaussian(6, 9, seed=1))
+        assert len(svd_calls) == 1
+
+    @pytest.mark.parametrize("zero_tol", [np.nan, np.inf, -1e-3, 1.0, 10.0])
+    def test_rejects_bad_zero_tol(self, zero_tol):
+        with pytest.raises(ValueError, match="zero_tol"):
+            semi_rank(random_gaussian(4, 7, seed=0), zero_tol=zero_tol)
+
+    def test_large_zero_tol_keeps_the_largest_column(self):
+        # dropped columns must not decide the row signs of the kept ones
+        for seed in range(20):
+            M = random_gaussian(4, 7, seed=seed)
+            fact = semi_rank(M, zero_tol=0.9).factorization
+            j = np.argmax(np.abs(M).max(axis=0))
+            assert fact.V.min() >= 0.0
+            np.testing.assert_allclose(fact.U @ fact.V[:, j], M[:, j], atol=1e-12)
 
     def test_zero_matrix(self):
         rep = semi_rank(np.zeros((3, 5)))

@@ -172,6 +172,12 @@ class TestBisection:
         with pytest.raises(ValueError, match="nonempty"):
             bisection_epsilon(np.zeros((0, 3)))
 
+    @pytest.mark.parametrize("rel_prec", [0.0, -1e-3, np.nan, np.inf])
+    def test_rejects_bad_rel_prec(self, rel_prec):
+        # nan and inf would end the loop at once and return eps_plus
+        with pytest.raises(ValueError, match="rel_prec"):
+            bisection_epsilon(random_gaussian(5, 12, seed=42), rel_prec=rel_prec)
+
 
 @pytest.fixture
 def simplex_pivots(monkeypatch):

@@ -11,7 +11,7 @@ from seminmf.linalg import (
     least_squares_left,
     random_gaussian,
     random_uniform,
-    truncated_svd,
+    thin_svd,
 )
 from seminmf.factors import sign_flip
 from seminmf.solver import cd_semi_nmf
@@ -107,8 +107,7 @@ class TestA3:
         for seed in range(12):
             M = random_gaussian(8, 14, seed=seed)
             r = 3
-            trip = truncated_svd(M, r).scale_left()
-            _, B = sign_flip(trip.A, trip.B)
+            _, B = sign_flip(*thin_svd(M).pair(r))
             _, _, bis = init_a3(M, r)
             assert (bis.epsilon_star == 0.0) == halfspace_feasible(B).feasible
 
@@ -121,7 +120,7 @@ class TestDispatch:
     def test_kinds(self):
         M = random_uniform(8, 12, seed=14) + 0.1
         for kind in ("rd", "km", "a2", "a3"):
-            res = initialize(M, 3, InitStrategy(kind=kind, seed=9))
+            res = initialize(M, 3, InitStrategy(kind=kind, seed=9), thin_svd(M))
             assert res.V0.shape == (3, 12)
             assert res.V0.min() >= 0.0
             if kind in ("a2", "a3"):
@@ -135,6 +134,6 @@ class TestDispatch:
 
     def test_rd_init_error_matches_least_squares(self):
         M = random_gaussian(7, 10, seed=15)
-        res = initialize(M, 3, InitStrategy(kind="rd", seed=16))
+        res = initialize(M, 3, InitStrategy(kind="rd", seed=16), thin_svd(M))
         U = least_squares_left(M, res.V0)
         assert np.isfinite(np.linalg.norm(M - U @ res.V0))

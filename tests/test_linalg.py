@@ -1,4 +1,4 @@
-"""Kernel tests: truncated SVD, least squares, seeded RNG."""
+"""Kernel tests: thin SVD, least squares, seeded RNG."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from seminmf.linalg import (
     least_squares_left,
     random_gaussian,
     random_uniform,
-    truncated_svd,
+    thin_svd,
 )
 
 
@@ -28,57 +28,65 @@ class TestAsMatrix:
 
 
 class TestTruncatedSvd:
+    """thin_svd and its rank-k truncations Svd.pair(k)."""
+
     def test_diagonal_values(self):
-        trip = truncated_svd(np.diag([3.0, 2.0, 1.0]), 2)
-        np.testing.assert_allclose(trip.S, [3.0, 2.0])
         M = np.diag([3.0, 2.0, 1.0])
-        resid = np.linalg.norm(M - trip.A @ np.diag(trip.S) @ trip.B)
-        assert resid == pytest.approx(1.0, rel=1e-12)
+        svd = thin_svd(M)
+        np.testing.assert_allclose(svd.S[:2], [3.0, 2.0])
+        A, B = svd.pair(2)
+        assert np.linalg.norm(M - A @ B) == pytest.approx(1.0, rel=1e-12)
+        assert svd.tail_error(2) == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_matrix(self):
-        trip = truncated_svd(np.zeros((4, 5)), 1)
-        np.testing.assert_allclose(trip.S, [0.0])
-        assert np.linalg.norm(trip.A @ np.diag(trip.S) @ trip.B) == 0.0
+        svd = thin_svd(np.zeros((4, 5)))
+        np.testing.assert_allclose(svd.S, 0.0)
+        A, B = svd.pair(1)
+        assert np.linalg.norm(A @ B) == 0.0
+        assert svd.tail_error(1) == 0.0
 
     def test_residual_matches_gram_eigenvalues(self):
         # independent oracle: eigendecomposition of M'M gives sigma_i^2
         M = random_gaussian(20, 30, seed=42)
         k = 5
-        trip = truncated_svd(M, k)
-        resid = np.linalg.norm(M - trip.A @ np.diag(trip.S) @ trip.B)
+        svd = thin_svd(M)
+        A, B = svd.pair(k)
+        resid = np.linalg.norm(M - A @ B)
         eigs = np.sort(np.linalg.eigvalsh(M @ M.T))[::-1]
         expected = np.sqrt(np.sum(eigs[k:]))
         assert resid == pytest.approx(expected, rel=1e-8)
+        assert svd.tail_error(k) == pytest.approx(expected, rel=1e-8)
 
     def test_orthonormality(self):
         M = random_gaussian(15, 10, seed=3)
-        trip = truncated_svd(M, 4)
-        np.testing.assert_allclose(trip.A.T @ trip.A, np.eye(4), atol=1e-8)
-        np.testing.assert_allclose(trip.B @ trip.B.T, np.eye(4), atol=1e-8)
-        assert np.all(np.diff(trip.S) <= 0) and np.all(trip.S >= 0)
+        svd = thin_svd(M)
+        assert svd.U.shape == (15, 10) and svd.Vt.shape == (10, 10)
+        np.testing.assert_allclose(svd.U.T @ svd.U, np.eye(10), atol=1e-8)
+        np.testing.assert_allclose(svd.Vt @ svd.Vt.T, np.eye(10), atol=1e-8)
+        assert np.all(np.diff(svd.S) <= 0) and np.all(svd.S >= 0)
 
     def test_pythagoras(self):
         for seed in range(5):
             M = random_gaussian(12, 9, seed=seed)
+            svd = thin_svd(M)
             for k in (1, 3, 7):
-                trip = truncated_svd(M, k)
-                resid2 = np.linalg.norm(M - trip.A @ np.diag(trip.S) @ trip.B) ** 2
-                total = resid2 + np.sum(trip.S**2)
+                A, B = svd.pair(k)
+                resid2 = np.linalg.norm(M - A @ B) ** 2
+                total = resid2 + np.sum(svd.S[:k] ** 2)
                 assert total == pytest.approx(np.linalg.norm(M) ** 2, rel=1e-6)
+                assert svd.tail_error(k) ** 2 == pytest.approx(resid2, rel=1e-6)
 
     def test_scale_left(self):
+        # pair folds the singular values into the left factor
         M = random_gaussian(6, 8, seed=0)
-        trip = truncated_svd(M, 2).scale_left()
-        assert trip.scaled
-        np.testing.assert_allclose(
-            trip.A @ trip.B,
-            truncated_svd(M, 2).A @ np.diag(truncated_svd(M, 2).S) @ truncated_svd(M, 2).B,
-        )
+        svd = thin_svd(M)
+        A, B = svd.pair(2)
+        np.testing.assert_allclose(A @ B, svd.U[:, :2] @ np.diag(svd.S[:2]) @ svd.Vt[:2])
 
     @pytest.mark.parametrize("k", [0, 4, -1])
     def test_k_out_of_range(self, k):
         with pytest.raises(ValueError, match="out of range"):
-            truncated_svd(np.eye(3), k)
+            thin_svd(np.eye(3)).pair(k)
 
 
 class TestBestRankError:
