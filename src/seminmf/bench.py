@@ -10,14 +10,13 @@ roundoff for every feasible factorization.
 
 The runner derives one seed per (config, trial) pair from a master seed,
 so results are a pure function of (configs, trials, master_seed) and
-independent of execution order and of the number of worker threads.
+independent of execution order and of the number of worker processes.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field
 from dataclasses import fields as dataclass_fields
 
@@ -308,6 +307,10 @@ def run_experiment(
     Per-trial seeds are derived from (master_seed, config index, trial
     index), so records do not depend on scheduling; individual strategy
     failures are recorded on the ExperimentRecord rather than raised.
+    ``jobs`` > 1 runs the trials on that many spawned worker processes
+    (at most one per trial), so a script that calls this with jobs > 1
+    needs the ``if __name__ == "__main__":`` guard; ``jobs`` = 1 runs
+    them in this process.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -315,7 +318,14 @@ def run_experiment(
     if jobs <= 1:
         results = [_run_trial(cfg, ci, ti, master_seed) for ci, cfg, ti in tasks]
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        # imported here so in-process runs do not load the pool's modules;
+        # spawned workers import the package afresh, as fork is unsafe once
+        # BLAS has started its threads
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(min(jobs, len(tasks)), mp_context=spawn) as pool:
             futures = [pool.submit(_run_trial, cfg, ci, ti, master_seed) for ci, cfg, ti in tasks]
             results = [f.result() for f in futures]
     return [rec for batch in results for rec in batch]

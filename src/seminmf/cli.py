@@ -14,7 +14,8 @@ bench
     quality quantiles.
 
 Exit codes: 0 success, 2 usage or input error, 3 numerical failure.
-The SEMINMF_SEED environment variable supplies the default seed.
+The SEMINMF_SEED environment variable supplies the default --seed of
+factorize and bench.
 
 Suite files are flat text: one config per line of ``key=value`` tokens,
 ``#`` comments allowed.  Keys: generator (nonnegative | semi_nonneg |
@@ -50,10 +51,6 @@ from .matio import read_matrix, write_matrix
 
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("SEMINMF_SEED", "0"))
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +102,7 @@ def _cmd_factorize(args) -> int:
     if args.rank > min(M.shape):
         raise UsageError(f"--rank {args.rank} exceeds min(matrix dimensions) {min(M.shape)}")
 
-    strat = InitStrategy(kind=args.init, seed=args.seed, a3_rel_prec=args.rel_prec)
+    strat = InitStrategy(kind=args.init, seed=args.seed)
     svd = thin_svd(M)
     fact, errors, eps = bench.run_start(M, args.rank, strat, args.maxiter, svd)
 
@@ -247,6 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="seminmf", description=__doc__.split("\n")[0])
     p.add_argument("--version", action="version", version=f"seminmf {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
+    # a string default goes through type=int, and only when the subcommand
+    # defines --seed: a bad value is a usage error (exit 2) there alone
+    env_seed = os.environ.get("SEMINMF_SEED", "0")
 
     pr = sub.add_parser("rank", help="rank / semi-nonnegative rank report")
     pr.add_argument("input", help="matrix file (CSV or MatrixMarket)")
@@ -262,9 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--rank", "-r", type=int, required=True)
     pf.add_argument("--init", choices=STRATEGY_KINDS, default="a3")
     pf.add_argument("--maxiter", type=int, default=100)
-    pf.add_argument("--seed", type=int, default=_default_seed())
-    pf.add_argument("--rel-prec", type=float, default=1e-3,
-                    help="bisection precision for --init a3")
+    pf.add_argument("--seed", type=int, default=env_seed)
     pf.add_argument("--out-u")
     pf.add_argument("--out-v")
     pf.add_argument("--trace", help="write per-iteration errors as CSV")
@@ -275,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--suite", help="suite config file (see module docstring)")
     src.add_argument("--preset", choices=sorted(PRESETS))
     pb.add_argument("--trials", type=int, default=50)
-    pb.add_argument("--seed", type=int, default=_default_seed())
+    pb.add_argument("--seed", type=int, default=env_seed)
     pb.add_argument("--out", help="CSV output path (stdout when omitted)")
     pb.add_argument("--summary", help="JSON summary output path")
     pb.add_argument("--jobs", type=int, default=1)

@@ -9,7 +9,8 @@ the optimum t is zero (up to tolerance), and the optimal z is a witness.
 ``bisection_epsilon`` searches for the smallest shift eps >= 0 such that
 the columns of B + eps (entrywise) admit such a witness, by bisection on
 eps over [0, eps_plus] with eps_plus = max(0, -min(B)), where the upper
-endpoint is always feasible.
+endpoint is always feasible.  It halves the bracket a fixed
+``BISECTION_STEPS`` times, so it ends on every input.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
 ]
 
 ZERO_TOL = 1e-12  # relative cutoff for treating a column as zero
+BISECTION_STEPS = 10  # 2**-10 < 1e-3: the bracket ends below 1e-3 * eps_plus
 
 
 @dataclass(frozen=True)
@@ -137,22 +139,19 @@ def halfspace_feasible(M) -> HalfspaceCertificate:
     return lp_feasibility(M[:, nonzero_columns(M)])
 
 
-def bisection_epsilon(B, rel_prec: float = 1e-3) -> BisectionResult:
+def bisection_epsilon(B) -> BisectionResult:
     """Bisection on the shift eps for the relaxed containment problem.
 
     Checks eps = 0 first and returns immediately when feasible.
-    Otherwise bisects on [0, eps_plus] until the bracket width drops to
-    ``rel_prec * eps_plus``, returning the smallest feasible eps
-    evaluated together with its witness.  At the default precision this
-    takes at most ten bisection solves after the eps = 0 check.  A test
-    counts as an LP call when it pivots: every LP does, and the vacuous
-    test (no nonzero column) solves none.
+    Otherwise halves [0, eps_plus] exactly ``BISECTION_STEPS`` times,
+    returning the smallest feasible eps evaluated together with its
+    witness; up to rounding it lies within 2**-10 * eps_plus of the
+    largest infeasible one.  A test counts as an LP call when it pivots: every LP does, and
+    the vacuous test (no nonzero column) solves none.
     """
     B = as_matrix(B, "B")
     if B.size == 0:
         raise ValueError("B must be nonempty")
-    if not 0.0 < rel_prec < np.inf:
-        raise ValueError(f"rel_prec must be positive and finite, got {rel_prec!r}")
     eps_plus = float(max(0.0, -B.min()))
     trace: list[tuple[float, bool]] = []
 
@@ -170,7 +169,7 @@ def bisection_epsilon(B, rel_prec: float = 1e-3) -> BisectionResult:
     top = B + eps_plus
     y_hi = np.ones(B.shape[0]) / top[:, nonzero_columns(top)].sum(axis=0).min()
     trace.append((eps_plus, True))
-    while eps_hi - eps_lo > rel_prec * eps_plus:
+    for _ in range(BISECTION_STEPS):
         mid = 0.5 * (eps_lo + eps_hi)
         cert = halfspace_feasible(B + mid)
         lp_calls += int(cert.pivots > 0)
@@ -180,11 +179,5 @@ def bisection_epsilon(B, rel_prec: float = 1e-3) -> BisectionResult:
             eps_hi, y_hi = mid, cert.z
         else:
             eps_lo = mid
-
-    # bracketing invariant: no infeasible evaluation above a feasible one
-    inf_eps = [e for e, ok in trace if not ok]
-    feas_eps = [e for e, ok in trace if ok]
-    if inf_eps and feas_eps and max(inf_eps) >= min(feas_eps):
-        raise NumericalError("bisection bracket lost monotone ordering")
 
     return BisectionResult(float(eps_hi), y_hi, eps_plus, lp_calls, tuple(trace), pivots)

@@ -38,15 +38,13 @@ STRATEGY_KINDS = ("rd", "km", "a2", "a3")
 
 @dataclass(frozen=True)
 class InitStrategy:
-    """Which initializer to run and its parameters.
+    """Which initializer to run and its seed.
 
-    ``seed`` feeds rd/km; ``a3_rel_prec`` is the bisection precision.
-    Parameters not used by ``kind`` are ignored.
+    ``seed`` feeds rd/km; a2 and a3 are deterministic and ignore it.
     """
 
     kind: str
     seed: int = 0
-    a3_rel_prec: float = 1e-3
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
@@ -90,9 +88,9 @@ def _a2_start(svd: Svd, r: int):
     return fact.U, fact.V
 
 
-def _a3_start(M, svd: Svd, r: int, rel_prec: float):
+def _a3_start(M, svd: Svd, r: int):
     _, B = sign_flip(*svd.pair(r))
-    bis = bisection_epsilon(B, rel_prec=rel_prec)
+    bis = bisection_epsilon(B)
     # x >= 1 - tol on the constrained columns; the floor only matters for
     # columns whose shifted version vanished, and using the floored x in
     # the outer product keeps V0 nonnegative in that case too
@@ -113,14 +111,14 @@ def init_a2(M, r: int):
     return _a2_start(thin_svd(M), r)
 
 
-def init_a3(M, r: int, rel_prec: float = 1e-3):
+def init_a3(M, r: int):
     """Shift-and-correct start from the rank-r truncated SVD.
 
     Returns (U0, V0, BisectionResult).  V0 is nonnegative by
     construction for every input; when the bisection finds eps = 0 the
     start attains the best rank-r error exactly.
     """
-    return _a3_start(M, thin_svd(M), r, rel_prec)
+    return _a3_start(M, thin_svd(M), r)
 
 
 def initialize(M, r: int, strategy: InitStrategy, svd: Svd) -> InitResult:
@@ -132,5 +130,5 @@ def initialize(M, r: int, strategy: InitStrategy, svd: Svd) -> InitResult:
     if strategy.kind == "a2":
         U0, V0 = _a2_start(svd, r)
         return InitResult(V0=V0, U0=U0)
-    U0, V0, bis = _a3_start(M, svd, r, strategy.a3_rel_prec)
+    U0, V0, bis = _a3_start(M, svd, r)
     return InitResult(V0=V0, U0=U0, bisection=bis)

@@ -69,7 +69,7 @@ def _reseed_zero_rows(M, U, V):
     return U.T @ U if reseeded else G
 
 
-def cd_semi_nmf(M, V0, max_iter: int, rel_tol: float | None = None):
+def cd_semi_nmf(M, V0, max_iter: int):
     """Alternating exact solves: unconstrained U, then per-row nonnegative V.
 
     Parameters
@@ -79,10 +79,7 @@ def cd_semi_nmf(M, V0, max_iter: int, rel_tol: float | None = None):
         Nonnegative start for the right factor; no all-zero rows.
     max_iter : int
         Number of full iterations (values between 100 and 500 are
-        typical).  Runs exactly this many unless ``rel_tol`` is set.
-    rel_tol : float, optional
-        Early stop once the per-iteration improvement drops to
-        ``rel_tol * errors[0]``.  Off by default.
+        typical).  Always runs exactly this many.
 
     Returns
     -------
@@ -124,9 +121,6 @@ def cd_semi_nmf(M, V0, max_iter: int, rel_tol: float | None = None):
         error_s += t3 - t2
         if not math.isfinite(errors[-1]):
             raise NumericalError(f"residual norm {errors[-1]} at CD iteration {len(errors)}")
-        if rel_tol is not None and len(errors) >= 2:
-            if errors[-2] - errors[-1] <= rel_tol * errors[0]:
-                break
 
     trace = SolveTrace(
         errors=np.array(errors),

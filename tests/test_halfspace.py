@@ -172,11 +172,22 @@ class TestBisection:
         with pytest.raises(ValueError, match="nonempty"):
             bisection_epsilon(np.zeros((0, 3)))
 
-    @pytest.mark.parametrize("rel_prec", [0.0, -1e-3, np.nan, np.inf])
-    def test_rejects_bad_rel_prec(self, rel_prec):
-        # nan and inf would end the loop at once and return eps_plus
-        with pytest.raises(ValueError, match="rel_prec"):
-            bisection_epsilon(random_gaussian(5, 12, seed=42), rel_prec=rel_prec)
+    @pytest.mark.parametrize("k", [-600, 0, 600])
+    def test_fixed_number_of_halvings(self, k):
+        # the eps = 0 test, the eps_plus endpoint and exactly ten halvings,
+        # at any scale; the slack covers the rounding of the midpoints
+        cases = [TIGHT_2x3] + [random_gaussian(4, 10, seed=seed) for seed in range(8)]
+        checked = 0
+        for B in cases:
+            res = bisection_epsilon(np.ldexp(B, k))
+            if res.trace[0][1]:
+                continue
+            checked += 1
+            assert len(res.trace) == 12
+            assert res.lp_calls == 11
+            inf_eps = max(e for e, ok in res.trace if not ok)
+            assert res.epsilon_star - inf_eps <= 2**-10 * res.epsilon_plus * (1 + 1e-12)
+        assert checked >= 5
 
 
 @pytest.fixture

