@@ -31,6 +31,7 @@ from .halfspace import (
     BisectionResult,
     HalfspaceCertificate,
     bisection_epsilon,
+    closed_form_certificate,
     halfspace_feasible,
     lp_feasibility,
 )
@@ -64,6 +65,7 @@ __all__ = [
     "best_rank_error",
     "bisection_epsilon",
     "cd_semi_nmf",
+    "closed_form_certificate",
     "exact_semi_nmf_same_rank",
     "gen_noisy_semi",
     "gen_nonnegative",

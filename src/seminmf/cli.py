@@ -79,6 +79,8 @@ def _cmd_rank(args) -> int:
             "feasible": cert.feasible,
             "witness_z": None if cert.z is None else list(map(float, cert.z)),
             "margin": json_safe(cert.margin),
+            "method": cert.method,
+            "pivots": cert.pivots,
             "frob_error": report.factorization.frob_error,
         }
         with open(args.json, "w", encoding="utf-8") as fh:

@@ -25,7 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .halfspace import ZERO_TOL, HalfspaceCertificate, lp_feasibility, nonzero_columns
+from .halfspace import (
+    ZERO_TOL,
+    HalfspaceCertificate,
+    closed_form_certificate,
+    lp_feasibility,
+    nonzero_columns,
+)
 from .linalg import as_matrix, frob, pow2_scale, thin_svd
 
 __all__ = [
@@ -173,8 +179,10 @@ def semi_rank(M, zero_tol: float = ZERO_TOL) -> SemiRankReport:
 
     The rank is the numerical rank from the SVD.  The certificate tests
     the rank-revealing right factor restricted to the nonzero columns of
-    M; when it is feasible the factorization keeps the same inner
-    dimension, otherwise the lift adds one.
+    M, first in closed form (``closed_form_certificate``) and by LP only
+    when that leaves the question open; when it is feasible the
+    factorization keeps the same inner dimension, otherwise the lift
+    adds one.
 
     Columns with 2-norm at most ``zero_tol * max|M|`` count as zero;
     ``zero_tol`` must lie in [0, 1), so the column holding max|M| stays.
@@ -196,7 +204,7 @@ def semi_rank(M, zero_tol: float = ZERO_TOL) -> SemiRankReport:
     r = int(np.sum(S > cutoff))
 
     if r == 0:
-        cert = HalfspaceCertificate(feasible=True, z=np.ones(0), margin=np.inf)
+        cert = HalfspaceCertificate(feasible=True, z=np.ones(0), margin=np.inf, method="vacuous")
         fact = Factorization(U=np.zeros((m, 0)), V=np.zeros((0, n)), frob_error=frob(M) * s)
         return SemiRankReport(rank=0, semi_rank=0, certificate=cert, factorization=fact)
 
@@ -206,7 +214,8 @@ def semi_rank(M, zero_tol: float = ZERO_TOL) -> SemiRankReport:
     keep &= np.linalg.norm(B, axis=0) > 0.0
     # zeroed first, a dropped column cannot decide the sign of a row
     A, B = sign_flip(A, np.where(keep, B, 0.0))
-    cert = lp_feasibility(B[:, keep])
+    C = B[:, keep]
+    cert = closed_form_certificate(C) or lp_feasibility(C)
 
     if cert.feasible:
         inner = exact_semi_nmf_same_rank(A, B, cert.z)

@@ -6,6 +6,13 @@ solution.  ``lp_feasibility`` settles that system by minimizing the
 uniform slack t in  c.z >= 1 - t,  t >= 0: the system is feasible iff
 the optimum t is zero (up to tolerance), and the optimal z is a witness.
 
+``closed_form_certificate`` tries two fixed witnesses first, the first
+axis e1 and the centroid of the normalized columns.  On the right factor
+of a sign-flipped SVD, e1 certifies the paper's SVD-only class (a
+nonnegative irreducible M has a positive leading right singular
+vector), so those inputs need no LP.  It runs before the LP in
+``semi_rank`` and at eps = 0 in ``bisection_epsilon``.
+
 ``bisection_epsilon`` searches for the smallest shift eps >= 0 such that
 the columns of B + eps (entrywise) admit such a witness, by bisection on
 eps over [0, eps_plus] with eps_plus = max(0, -min(B)), where the upper
@@ -27,11 +34,12 @@ __all__ = [
     "HalfspaceCertificate",
     "BisectionResult",
     "lp_feasibility",
+    "closed_form_certificate",
     "halfspace_feasible",
     "bisection_epsilon",
 ]
 
-ZERO_TOL = 1e-12  # relative cutoff for treating a column as zero
+ZERO_TOL = 1e-12  # relative cutoff for a zero column, and the closed-form margin floor
 BISECTION_STEPS = 10  # 2**-10 < 1e-3: the bracket ends below 1e-3 * eps_plus
 
 
@@ -44,13 +52,16 @@ class HalfspaceCertificate:
     nonzero column was tested).  When infeasible, ``z`` and ``margin``
     are None: the minimized slack stayed above tolerance, so no witness
     exists.  ``pivots`` counts the simplex pivots spent on the test (0
-    when no LP was solved).
+    when no LP was solved).  ``method`` names the branch that decided:
+    ``"e1"`` or ``"centroid"`` (closed form), ``"lp"`` (simplex), or
+    ``"vacuous"`` (no column to test).
     """
 
     feasible: bool
     z: np.ndarray | None = None
     margin: float | None = None
     pivots: int = 0
+    method: str = "lp"
 
 
 @dataclass(frozen=True)
@@ -68,6 +79,32 @@ class BisectionResult:
     lp_calls: int
     trace: tuple[tuple[float, bool], ...] = ()
     pivots: int = 0
+
+
+def _scaled_columns(C: np.ndarray):
+    """(C / s, s, column norms) with s = ``pow2_scale(C)``; the division
+    is exact, so nothing depends on a power-of-two scale of C."""
+    s = pow2_scale(C)
+    C = C / s
+    norms = np.linalg.norm(C, axis=0)
+    if np.any(norms == 0.0):
+        raise ValueError("containment tests require nonzero columns")
+    return C, s, norms
+
+
+def _unscaled_witness(z: np.ndarray, s: float) -> np.ndarray:
+    """z / s for a witness z of columns / s.
+
+    Raises ``NumericalError`` when that is not representable: columns of
+    subnormal size need a witness beyond the float range.
+    """
+    with np.errstate(over="ignore"):
+        z = z / s
+    if not np.isfinite(z).all():
+        raise NumericalError(
+            f"half-space witness overflows at column scale 2**{int(np.frexp(s)[1]) - 1}"
+        )
+    return z
 
 
 def lp_feasibility(columns) -> HalfspaceCertificate:
@@ -88,12 +125,8 @@ def lp_feasibility(columns) -> HalfspaceCertificate:
     C = as_matrix(columns, "columns")
     m, p = C.shape
     if p == 0:
-        return HalfspaceCertificate(feasible=True, z=np.ones(m), margin=np.inf)
-    s = pow2_scale(C)
-    C = C / s
-    norms = np.linalg.norm(C, axis=0)
-    if np.any(norms == 0.0):
-        raise ValueError("lp_feasibility requires nonzero columns")
+        return HalfspaceCertificate(feasible=True, z=np.ones(m), margin=np.inf, method="vacuous")
+    C, s, norms = _scaled_columns(C)
     Cn = C / norms
 
     # variables: z+ (m), z- (m), t (1), slack s (p)
@@ -118,8 +151,40 @@ def lp_feasibility(columns) -> HalfspaceCertificate:
         )
     z = z / margin
     return HalfspaceCertificate(
-        feasible=True, z=z / s, margin=float(np.min(C.T @ z)), pivots=res.iterations
+        feasible=True,
+        z=_unscaled_witness(z, s),
+        margin=float(np.min(C.T @ z)),
+        pivots=res.iterations,
     )
+
+
+def closed_form_certificate(columns) -> HalfspaceCertificate | None:
+    """Feasible certificate from a fixed witness, or None when undecided.
+
+    Tries y = e1, then the centroid y = sum_j c_j / ||c_j||, on the
+    columns (all nonzero) divided by ``pow2_scale``.  A candidate is
+    accepted only when  min_j (c_j / ||c_j||).y > ZERO_TOL * ||y||,
+    far above the rounding of the products, so columns on the boundary
+    of a half space (which have no witness) are never accepted.  The
+    witness is y / min_j c_j.y, of margin 1.  None says nothing about
+    feasibility: the LP has to settle it.
+    """
+    C = as_matrix(columns, "columns")
+    m, p = C.shape
+    if p == 0:
+        return None
+    C, s, norms = _scaled_columns(C)
+    Cn = C / norms
+    for method, y in (("e1", np.eye(m)[0]), ("centroid", Cn.sum(axis=1))):
+        if np.min(Cn.T @ y) > ZERO_TOL * np.linalg.norm(y):
+            z = y / np.min(C.T @ y)
+            return HalfspaceCertificate(
+                feasible=True,
+                z=_unscaled_witness(z, s),
+                margin=float(np.min(C.T @ z)),
+                method=method,
+            )
+    return None
 
 
 def nonzero_columns(M: np.ndarray) -> np.ndarray:
@@ -142,12 +207,15 @@ def halfspace_feasible(M) -> HalfspaceCertificate:
 def bisection_epsilon(B) -> BisectionResult:
     """Bisection on the shift eps for the relaxed containment problem.
 
-    Checks eps = 0 first and returns immediately when feasible.
-    Otherwise halves [0, eps_plus] exactly ``BISECTION_STEPS`` times,
-    returning the smallest feasible eps evaluated together with its
-    witness; up to rounding it lies within 2**-10 * eps_plus of the
-    largest infeasible one.  A test counts as an LP call when it pivots: every LP does, and
-    the vacuous test (no nonzero column) solves none.
+    Checks eps = 0 first, with ``closed_form_certificate`` before the
+    LP, and returns immediately when feasible.  Otherwise halves
+    [0, eps_plus] exactly ``BISECTION_STEPS`` times, returning the
+    smallest feasible eps evaluated together with its witness; up to
+    rounding it lies within 2**-10 * eps_plus of the largest infeasible
+    one.  A test counts as an LP call when it pivots: every LP does,
+    while a closed-form or vacuous test solves none.  Raises
+    ``NumericalError`` when B is so small that no witness is
+    representable.
     """
     B = as_matrix(B, "B")
     if B.size == 0:
@@ -156,7 +224,9 @@ def bisection_epsilon(B) -> BisectionResult:
     trace: list[tuple[float, bool]] = []
 
     # B + 0.0, as at every other eps, turns -0.0 entries into 0.0
-    cert0 = halfspace_feasible(B + 0.0)
+    B0 = B + 0.0
+    C0 = B0[:, nonzero_columns(B0)]
+    cert0 = closed_form_certificate(C0) or lp_feasibility(C0)
     lp_calls = int(cert0.pivots > 0)
     pivots = cert0.pivots
     trace.append((0.0, cert0.feasible))
@@ -167,7 +237,9 @@ def bisection_epsilon(B) -> BisectionResult:
     # it has a nonzero column, or B would be constant and feasible at eps = 0
     eps_lo, eps_hi = 0.0, eps_plus
     top = B + eps_plus
-    y_hi = np.ones(B.shape[0]) / top[:, nonzero_columns(top)].sum(axis=0).min()
+    s = pow2_scale(top)
+    sums = (top / s)[:, nonzero_columns(top)].sum(axis=0)
+    y_hi = _unscaled_witness(np.ones(B.shape[0]) / sums.min(), s)
     trace.append((eps_plus, True))
     for _ in range(BISECTION_STEPS):
         mid = 0.5 * (eps_lo + eps_hi)

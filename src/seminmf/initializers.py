@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .factors import X_FLOOR, lift_rank_plus_one, sign_flip
+from .factors import X_FLOOR, exact_semi_nmf_same_rank, lift_rank_plus_one, sign_flip
 from .halfspace import BisectionResult, bisection_epsilon
 from .kmeans import kmeans
 from .linalg import Svd, as_matrix, least_squares_left, random_uniform, thin_svd
@@ -89,8 +89,12 @@ def _a2_start(svd: Svd, r: int):
 
 
 def _a3_start(M, svd: Svd, r: int):
-    _, B = sign_flip(*svd.pair(r))
+    A, B = sign_flip(*svd.pair(r))
     bis = bisection_epsilon(B)
+    if bis.epsilon_star == 0.0:
+        # U0 @ V0 is the rank-r truncation A @ B itself
+        fact = exact_semi_nmf_same_rank(A, B, bis.y_star)
+        return fact.U, fact.V, bis
     # x >= 1 - tol on the constrained columns; the floor only matters for
     # columns whose shifted version vanished, and using the floored x in
     # the outer product keeps V0 nonnegative in that case too
@@ -116,7 +120,8 @@ def init_a3(M, r: int):
 
     Returns (U0, V0, BisectionResult).  V0 is nonnegative by
     construction for every input; when the bisection finds eps = 0 the
-    start attains the best rank-r error exactly.
+    start is ``exact_semi_nmf_same_rank`` of the truncation and attains
+    the best rank-r error exactly.
     """
     return _a3_start(M, thin_svd(M), r)
 

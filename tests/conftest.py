@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import seminmf.halfspace
+
 
 def _count_calls(monkeypatch, name):
     calls = []
@@ -26,3 +28,18 @@ def lstsq_calls(monkeypatch):
 def svd_calls(monkeypatch):
     """Count np.linalg.svd calls: one thin SVD per problem."""
     return _count_calls(monkeypatch, "svd")
+
+
+@pytest.fixture
+def simplex_pivots(monkeypatch):
+    """Pivot counts of every simplex solve the half-space layer makes."""
+    counts = []
+    solve = seminmf.halfspace.simplex_min
+
+    def counted(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        counts.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(seminmf.halfspace, "simplex_min", counted)
+    return counts

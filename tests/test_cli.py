@@ -59,6 +59,21 @@ class TestRank:
         payload = json.loads(out.read_text())
         assert payload["rank"] == 2 and payload["semi_rank"] == 3
 
+    @pytest.mark.parametrize(
+        "M, feasible, method",
+        [(TIGHT_2x3, False, "lp"), (random_uniform(4, 6, seed=1), True, "e1")],
+        ids=["lp", "e1"],
+    )
+    def test_json_reports_the_certificate_branch(self, tmp_path, capsys, M, feasible, method):
+        p, out = tmp_path / "m.csv", tmp_path / "report.json"
+        write_csv(p, M)
+        assert main(["rank", str(p), "--json", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert (payload["feasible"], payload["method"]) == (feasible, method)
+        assert isinstance(payload["pivots"], int)
+        assert (payload["pivots"] > 0) == (method == "lp")
+        assert "method" not in capsys.readouterr().out
+
     def test_json_report_finite_at_extreme_scale(self, tmp_path):
         p, out = tmp_path / "huge.csv", tmp_path / "report.json"
         write_csv(p, np.ldexp(random_gaussian(6, 9, seed=5), 600))

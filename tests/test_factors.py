@@ -10,8 +10,8 @@ from seminmf.factors import (
     semi_rank,
     sign_flip,
 )
-from seminmf.halfspace import halfspace_feasible
-from seminmf.linalg import random_gaussian, random_uniform, thin_svd
+from seminmf.halfspace import halfspace_feasible, nonzero_columns
+from seminmf.linalg import pow2_scale, random_gaussian, random_uniform, thin_svd
 
 TIGHT_2x3 = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
 ASYM_3x3 = np.array([[-1.0, 0.0, -1.0], [0.0, -1.0, -1.0], [1.0, 1.0, 2.0]])
@@ -147,6 +147,24 @@ POLE_CASES = [
 ]
 
 
+def test_centroid_witness_on_the_pole():
+    # the centroid of the normalized columns of POLE_CASES[1]'s right factor
+    # puts the first correction on the pole; the scaled one must be exact
+    M = np.array(POLE_CASES[1], dtype=float)
+    M = M / pow2_scale(M)
+    A, B = sign_flip(*thin_svd(M).pair(2))
+    keep = nonzero_columns(B)
+    C = B[:, keep]
+    y = (C / np.linalg.norm(C, axis=0)).sum(axis=1)
+    x = C.T @ y
+    assert x.min() > 0.0
+    alpha = np.maximum(0.0, (-C / x).max(axis=1))
+    assert abs(1.0 + y @ alpha) < 0.5
+    fact = exact_semi_nmf_same_rank(A, B, y)
+    assert fact.V.min() >= 0.0
+    assert np.linalg.norm(M - fact.U @ fact.V) <= 1e-9 * np.linalg.norm(M)
+
+
 class TestSemiRank:
     @pytest.mark.parametrize("rows", POLE_CASES)
     def test_pole_of_the_correction_is_avoided(self, rows):
@@ -190,6 +208,22 @@ class TestSemiRank:
     def test_transpose_asymmetry(self):
         assert semi_rank(ASYM_3x3).semi_rank == 2
         assert semi_rank(ASYM_3x3.T).semi_rank == 3
+
+    @pytest.mark.parametrize(
+        "right, method, lp_calls", [("uniform", "e1", 0), ("gaussian", "lp", 1)]
+    )
+    def test_lp_only_when_the_closed_form_misses(self, simplex_pivots, right, method, lp_calls):
+        # exact-rank-shaped products: a nonnegative right factor puts the
+        # leading right singular vector in the open positive orthant
+        rng = np.random.default_rng(2026)
+        A = rng.standard_normal((200, 80))
+        B = rng.random((80, 400)) if right == "uniform" else rng.standard_normal((80, 400))
+        rep = semi_rank(A @ B)
+        assert rep.rank == 80
+        assert rep.certificate.method == method
+        assert rep.certificate.feasible == (right == "uniform")
+        assert len(simplex_pivots) == lp_calls
+        assert rep.certificate.pivots == sum(simplex_pivots)
 
     def test_one_svd(self, svd_calls):
         semi_rank(random_gaussian(6, 9, seed=1))

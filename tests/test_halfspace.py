@@ -5,11 +5,18 @@ import math
 import numpy as np
 import pytest
 
-import seminmf.halfspace
 from seminmf.bench import gen_noisy_semi
-from seminmf.halfspace import bisection_epsilon, halfspace_feasible, lp_feasibility
+from seminmf.exceptions import NumericalError
+from seminmf.factors import sign_flip
+from seminmf.halfspace import (
+    bisection_epsilon,
+    closed_form_certificate,
+    halfspace_feasible,
+    lp_feasibility,
+    nonzero_columns,
+)
 from seminmf.initializers import init_a3
-from seminmf.linalg import random_gaussian
+from seminmf.linalg import random_gaussian, thin_svd
 
 TIGHT_2x3 = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])  # spans the whole plane
 BOUNDARY_2x3 = np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])  # two antipodal columns
@@ -121,12 +128,115 @@ class TestLpFeasibility:
         assert cert.margin == pytest.approx(1.0, abs=1e-9)
 
 
+def agreement_inputs():
+    """Seeded small inputs: Gaussian, semi-nonnegative products, 40%-sparse
+    Gaussian and integer matrices, 60 of each."""
+    for seed in range(240):
+        rng = np.random.default_rng(seed)
+        m, n = rng.integers(2, 9), rng.integers(2, 30)
+        kind = seed % 4
+        if kind == 0:
+            M = rng.standard_normal((m, n))
+        elif kind == 1:
+            k = rng.integers(1, m + 1)
+            M = rng.standard_normal((m, k)) @ rng.random((k, n))
+        elif kind == 2:
+            M = rng.standard_normal((m, n)) * (rng.random((m, n)) > 0.4)
+        else:
+            M = rng.integers(-3, 4, size=(m, n)).astype(float)
+        yield M
+
+
+def columns_of(M):
+    """The nonzero columns of M and of its sign-flipped SVD right factor."""
+    svd = thin_svd(M)
+    r = int(np.sum(svd.S > 1e-9 * svd.S[0]))
+    for X in (M, sign_flip(*svd.pair(r))[1]) if r else (M,):
+        yield X[:, nonzero_columns(X)]
+
+
+class TestClosedForm:
+    """closed_form_certificate: verified witnesses, never a boundary input,
+    and the LP's verdict on seeded inputs."""
+
+    @pytest.mark.parametrize("C", [TIGHT_2x3, BOUNDARY_2x3], ids=["tight", "boundary"])
+    def test_boundary_fixtures_are_not_certified(self, C):
+        assert closed_form_certificate(C) is None
+
+    @pytest.mark.parametrize("noise", [1e-17, 1e-13])
+    def test_noise_level_margin_is_left_to_the_lp(self, noise):
+        # TIGHT_2x3 lifted by a first row of relative size noise: e1 is a
+        # witness in exact arithmetic, but below the ZERO_TOL floor
+        C = np.vstack([noise * np.linalg.norm(TIGHT_2x3, axis=0), TIGHT_2x3])
+        assert np.min(C[0]) > 0.0
+        assert closed_form_certificate(C) is None
+        assert not lp_feasibility(C).feasible
+
+    def test_antipodal_pairs_one_ulp_apart_stay_infeasible(self):
+        rng = np.random.default_rng(0)
+        for m in (1, 2, 3, 5):
+            c = rng.standard_normal(m)
+            for i in range(m):
+                for toward in (-np.inf, np.inf):
+                    d = -c
+                    d[i] = np.nextafter(d[i], toward)
+                    C = np.column_stack([c, d])
+                    assert closed_form_certificate(C) is None
+                    assert not lp_feasibility(C).feasible
+
+    def test_verdicts_agree_with_the_lp(self):
+        methods = {"e1": 0, "centroid": 0, None: 0}
+        for M in agreement_inputs():
+            for C in columns_of(M):
+                cert = closed_form_certificate(C)
+                lp = lp_feasibility(C)
+                methods[cert.method if cert else None] += 1
+                if cert is not None:
+                    assert lp.feasible
+                    assert cert.feasible and cert.pivots == 0
+                    # the witness, checked without the solver
+                    assert np.min(C.T @ cert.z) >= 1.0 - 1e-9
+                    assert cert.margin == pytest.approx(1.0, abs=1e-9)
+        # both candidates certify, and many inputs are left to the LP
+        assert min(methods.values()) >= 50 and sum(methods.values()) >= 400
+
+    @pytest.mark.parametrize("k", [-600, 600])
+    def test_power_of_two_scale(self, k):
+        decided = set()
+        for M in list(agreement_inputs())[:40]:
+            for C in columns_of(M):
+                base, scaled = closed_form_certificate(C), closed_form_certificate(np.ldexp(C, k))
+                if base is None:
+                    assert scaled is None
+                    continue
+                decided.add(base.method)
+                assert scaled.method == base.method
+                assert np.array_equal(scaled.z, np.ldexp(base.z, -k))
+                assert scaled.margin == base.margin
+        assert decided == {"e1", "centroid"}
+
+    def test_empty_input_is_left_to_the_lp(self):
+        assert closed_form_certificate(np.zeros((3, 0))) is None
+        assert lp_feasibility(np.zeros((3, 0))).method == "vacuous"
+
+    def test_unrepresentable_witness_raises(self):
+        # every witness of columns of size 2**-1066 lies beyond the float range
+        tiny = np.ldexp(np.array([[1.0, 2.0], [1.0, 1.0]]), -1066)
+        for test in (closed_form_certificate, lp_feasibility):
+            with pytest.raises(NumericalError, match="scale 2\\*\\*-10"):
+                test(tiny)
+        with pytest.raises(NumericalError, match="scale"):
+            bisection_epsilon(np.ldexp(TIGHT_2x3, -1066))
+
+
 class TestBisection:
     def test_nonnegative_b_returns_zero(self):
+        # e1 certifies eps = 0 in closed form: no LP is solved
         B = np.random.default_rng(4).random((3, 6)) + 0.1
         res = bisection_epsilon(B)
         assert res.epsilon_star == 0.0
-        assert res.lp_calls == 1
+        assert res.lp_calls == res.pivots == 0
+        assert np.min(B.T @ res.y_star) >= 1.0 - 1e-9
 
     def test_plane_spanning_fixture(self):
         res = bisection_epsilon(TIGHT_2x3)
@@ -188,21 +298,6 @@ class TestBisection:
             inf_eps = max(e for e, ok in res.trace if not ok)
             assert res.epsilon_star - inf_eps <= 2**-10 * res.epsilon_plus * (1 + 1e-12)
         assert checked >= 5
-
-
-@pytest.fixture
-def simplex_pivots(monkeypatch):
-    """Pivot counts of every simplex solve the half-space layer makes."""
-    counts = []
-    solve = seminmf.halfspace.simplex_min
-
-    def counted(*args, **kwargs):
-        res = solve(*args, **kwargs)
-        counts.append(res.iterations)
-        return res
-
-    monkeypatch.setattr(seminmf.halfspace, "simplex_min", counted)
-    return counts
 
 
 class TestPivotCounts:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from seminmf.bench import quality
-from seminmf.halfspace import halfspace_feasible
+from seminmf.halfspace import halfspace_feasible, nonzero_columns
 from seminmf.initializers import InitStrategy, init_a2, init_a3, init_km, init_rd, initialize
 from seminmf.linalg import (
     best_rank_error,
@@ -114,6 +114,31 @@ class TestA3:
     def test_rejects_bad_rank(self):
         with pytest.raises(ValueError, match="out of range"):
             init_a3(random_gaussian(4, 6, seed=0), 5)
+
+    def test_epsilon_zero_start_keeps_full_rank_on_the_pole(self):
+        # the rank-2 part is test_factors.POLE_CASES[1], whose centroid
+        # witness puts the unguarded correction on the Sherman-Morrison
+        # pole; the block [0.5] sets a nonzero best rank-2 error
+        M = np.zeros((6, 8))
+        M[:5, :7] = [
+            [2, 4, -1, 1, 2, 1, 4],
+            [4, 2, 1, 2, 4, 2, 2],
+            [0, 2, -1, 0, 0, 0, 2],
+            [0, 2, -1, 0, 0, 0, 2],
+            [4, 4, 0, 2, 4, 2, 4],
+        ]
+        M[5, 7] = 0.5
+        svd = thin_svd(M)
+        U0, V0, bis = init_a3(M, 2)
+        assert bis.epsilon_star == 0.0
+        _, B = sign_flip(*svd.pair(2))
+        C = B[:, nonzero_columns(B)]
+        alpha = np.maximum(0.0, (-C / (C.T @ bis.y_star)).max(axis=1))
+        assert abs(1.0 + bis.y_star @ alpha) < 0.5
+        assert V0.min() >= 0.0
+        assert np.linalg.matrix_rank(V0) == 2
+        err = np.linalg.norm(M - U0 @ V0)
+        assert err == pytest.approx(svd.tail_error(2), rel=1e-12)
 
 
 class TestDispatch:
