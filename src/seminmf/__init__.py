@@ -34,6 +34,7 @@ from .halfspace import (
     closed_form_certificate,
     halfspace_feasible,
     lp_feasibility,
+    nnls_certificate,
 )
 from .initializers import InitStrategy, init_a2, init_a3, init_km, init_rd, initialize
 from .kmeans import kmeans
@@ -80,6 +81,7 @@ __all__ = [
     "least_squares_left",
     "lift_rank_plus_one",
     "lp_feasibility",
+    "nnls_certificate",
     "quality",
     "quality_from_error",
     "random_gaussian",

@@ -81,6 +81,9 @@ def _cmd_rank(args) -> int:
             "margin": json_safe(cert.margin),
             "method": cert.method,
             "pivots": cert.pivots,
+            "support": None if cert.support is None else cert.support.tolist(),
+            "weights": None if cert.weights is None else cert.weights.tolist(),
+            "distance": cert.distance,
             "frob_error": report.factorization.frob_error,
         }
         with open(args.json, "w", encoding="utf-8") as fh:

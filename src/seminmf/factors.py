@@ -16,12 +16,14 @@ Three building blocks:
 * ``semi_rank`` combines both: the semi-nonnegative rank of a matrix is
   its rank when the nonzero columns of a rank-revealing right factor
   fit in an open half space, and rank + 1 otherwise, and an exact
-  nonnegative-right factorization is produced either way.
+  nonnegative-right factorization is produced either way.  The half
+  space test is the closed form, then a least-distance (NNLS) problem
+  of rank + 1 rows; no LP is solved.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +31,8 @@ from .halfspace import (
     ZERO_TOL,
     HalfspaceCertificate,
     closed_form_certificate,
-    lp_feasibility,
+    lp_feasibility,  # noqa: F401  unused here, but perfbench/tracer.py wraps this name
+    nnls_certificate,
     nonzero_columns,
 )
 from .linalg import as_matrix, frob, pow2_scale, thin_svd
@@ -179,10 +182,11 @@ def semi_rank(M, zero_tol: float = ZERO_TOL) -> SemiRankReport:
 
     The rank is the numerical rank from the SVD.  The certificate tests
     the rank-revealing right factor restricted to the nonzero columns of
-    M, first in closed form (``closed_form_certificate``) and by LP only
-    when that leaves the question open; when it is feasible the
-    factorization keeps the same inner dimension, otherwise the lift
-    adds one.
+    M, first in closed form (``closed_form_certificate``) and by NNLS
+    (``nnls_certificate``) only when that leaves the question open; when
+    it is feasible the factorization keeps the same inner dimension,
+    otherwise the lift adds one, and the certificate's ``support``
+    indexes columns of M.
 
     Columns with 2-norm at most ``zero_tol * max|M|`` count as zero;
     ``zero_tol`` must lie in [0, 1), so the column holding max|M| stays.
@@ -215,7 +219,9 @@ def semi_rank(M, zero_tol: float = ZERO_TOL) -> SemiRankReport:
     # zeroed first, a dropped column cannot decide the sign of a row
     A, B = sign_flip(A, np.where(keep, B, 0.0))
     C = B[:, keep]
-    cert = closed_form_certificate(C) or lp_feasibility(C)
+    cert = closed_form_certificate(C) or nnls_certificate(C)
+    if cert.support is not None:
+        cert = replace(cert, support=np.flatnonzero(keep)[cert.support])
 
     if cert.feasible:
         inner = exact_semi_nmf_same_rank(A, B, cert.z)

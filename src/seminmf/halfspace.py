@@ -10,8 +10,16 @@ the optimum t is zero (up to tolerance), and the optimal z is a witness.
 axis e1 and the centroid of the normalized columns.  On the right factor
 of a sign-flipped SVD, e1 certifies the paper's SVD-only class (a
 nonnegative irreducible M has a positive leading right singular
-vector), so those inputs need no LP.  It runs before the LP in
-``semi_rank`` and at eps = 0 in ``bisection_epsilon``.
+vector), so those inputs need no LP.  It runs first in ``semi_rank``
+and at eps = 0 in ``bisection_epsilon``.
+
+``nnls_certificate`` settles what the closed form leaves open in
+``semi_rank`` as a least-distance problem (Lawson and Hanson, *Solving
+Least Squares Problems*, ch. 23): nonnegative least squares on r + 1
+rows finds the point of the convex hull of the normalized columns
+nearest the origin.  That point is a max-margin witness when it verifies,
+and otherwise its weights are a Gordan certificate of infeasibility.
+The bisection keeps ``lp_feasibility``.
 
 ``bisection_epsilon`` searches for the smallest shift eps >= 0 such that
 the columns of B + eps (entrywise) admit such a witness, by bisection on
@@ -35,12 +43,14 @@ __all__ = [
     "BisectionResult",
     "lp_feasibility",
     "closed_form_certificate",
+    "nnls_certificate",
     "halfspace_feasible",
     "bisection_epsilon",
 ]
 
 ZERO_TOL = 1e-12  # relative cutoff for a zero column, and the closed-form margin floor
 BISECTION_STEPS = 10  # 2**-10 < 1e-3: the bracket ends below 1e-3 * eps_plus
+NNLS_MAX_ITER = 3  # NNLS passes per column before giving up (Lawson and Hanson's 3n)
 
 
 @dataclass(frozen=True)
@@ -50,11 +60,17 @@ class HalfspaceCertificate:
     When ``feasible``, ``z`` satisfies  c.z >= 1 - 1e-9  for every tested
     column c and ``margin`` is the smallest such product (``inf`` when no
     nonzero column was tested).  When infeasible, ``z`` and ``margin``
-    are None: the minimized slack stayed above tolerance, so no witness
-    exists.  ``pivots`` counts the simplex pivots spent on the test (0
+    are None: no witness exists up to the deciding branch's tolerance.
+    ``pivots`` counts the simplex pivots spent on the test (0
     when no LP was solved).  ``method`` names the branch that decided:
-    ``"e1"`` or ``"centroid"`` (closed form), ``"lp"`` (simplex), or
-    ``"vacuous"`` (no column to test).
+    ``"e1"`` or ``"centroid"`` (closed form), ``"nnls"`` (least
+    distance), ``"lp"`` (simplex), or ``"vacuous"`` (no column to test).
+
+    An infeasible ``"nnls"`` verdict carries its Gordan certificate:
+    nonnegative ``weights`` summing to 1 on the columns ``support`` (at
+    most r + 1 of them), whose combination of the unit-normalized
+    columns has 2-norm ``distance``, zero up to rounding.  The three
+    fields are None otherwise.
     """
 
     feasible: bool
@@ -62,6 +78,9 @@ class HalfspaceCertificate:
     margin: float | None = None
     pivots: int = 0
     method: str = "lp"
+    support: np.ndarray | None = None
+    weights: np.ndarray | None = None
+    distance: float | None = None
 
 
 @dataclass(frozen=True)
@@ -176,15 +195,126 @@ def closed_form_certificate(columns) -> HalfspaceCertificate | None:
     C, s, norms = _scaled_columns(C)
     Cn = C / norms
     for method, y in (("e1", np.eye(m)[0]), ("centroid", Cn.sum(axis=1))):
-        if np.min(Cn.T @ y) > ZERO_TOL * np.linalg.norm(y):
-            z = y / np.min(C.T @ y)
-            return HalfspaceCertificate(
-                feasible=True,
-                z=_unscaled_witness(z, s),
-                margin=float(np.min(C.T @ z)),
-                method=method,
-            )
+        cert = _verified_witness(C, Cn, s, y, method)
+        if cert is not None:
+            return cert
     return None
+
+
+def _verified_witness(C, Cn, s, y, method) -> HalfspaceCertificate | None:
+    """Feasible certificate from the candidate direction y, or None.
+
+    ``C`` is the input divided by ``s``, ``Cn`` its unit-normalized
+    columns.  y is accepted only when  min_j Cn_j.y > ZERO_TOL * ||y||;
+    the witness is y / min_j C_j.y, of margin 1.
+    """
+    if not np.min(Cn.T @ y) > ZERO_TOL * np.linalg.norm(y):
+        return None
+    z = y / np.min(C.T @ y)
+    return HalfspaceCertificate(
+        feasible=True,
+        z=_unscaled_witness(z, s),
+        margin=float(np.min(C.T @ z)),
+        method=method,
+    )
+
+
+def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """argmin ||E x - f|| over x >= 0, by Lawson and Hanson's active set method.
+
+    Each pass either lets in the column of largest positive gradient
+    entry or, when the passive-set least-squares solution has a
+    nonpositive weight, steps toward it until the first weight reaches
+    zero and drops that column.  Every solve is a thin QR and a
+    triangular solve.  A column that would enter numerically dependent
+    on the passive ones (|R_kk| <= ZERO_TOL, the columns of E having
+    norm sqrt(2)), or with a nonpositive weight, is passed over until
+    the iterate moves.  Raises ``NumericalError`` after ``NNLS_MAX_ITER``
+    passes per column.
+    """
+    p = E.shape[1]
+    x = np.zeros(p)
+    w = E.T @ f
+    passive: list[int] = []  # in order of entry, so the entering column is last in R
+    passed_over = np.zeros(p, dtype=bool)
+    s = None  # passive-set solution not yet taken as the iterate
+    for _ in range(NNLS_MAX_ITER * p):
+        if s is not None and (s <= 0.0).any():
+            xp = x[passive]
+            neg = np.flatnonzero(s <= 0.0)
+            ratios = xp[neg] / (xp[neg] - s[neg])
+            k = int(np.argmin(ratios))
+            xp += ratios[k] * (s - xp)
+            xp[neg[k]] = 0.0
+            x[passive] = np.maximum(xp, 0.0)
+            passive = [j for j in passive if x[j] > 0.0]
+            Q, R = np.linalg.qr(E[:, passive])
+            s = np.linalg.solve(R, Q.T @ f)
+            continue
+        if s is not None:
+            x[:] = 0.0
+            x[passive] = s
+            w = E.T @ (f - E @ x)
+            s = None
+        gain = np.where(passed_over, -np.inf, w)
+        gain[passive] = -np.inf
+        t = int(np.argmax(gain))
+        if not gain[t] > ZERO_TOL:
+            return x
+        Q, R = np.linalg.qr(E[:, passive + [t]])
+        s = np.linalg.solve(R, Q.T @ f) if abs(R[-1, -1]) > ZERO_TOL else None
+        if s is None or not s[-1] > 0.0:
+            passed_over[t] = True
+            s = None
+            continue
+        passive.append(t)
+        passed_over[:] = False
+    raise NumericalError(f"NNLS iteration limit exceeded ({NNLS_MAX_ITER * p} passes, {p} columns)")
+
+
+def nnls_certificate(columns) -> HalfspaceCertificate:
+    """Decide half-space containment as a least-distance problem.
+
+    ``columns`` is an m-by-p matrix of nonzero columns, divided by
+    ``pow2_scale`` (exact) and unit-normalized as in ``lp_feasibility``:
+    Cn = C / ||c||.  Nonnegative least squares on min ||E mu - f||, with
+    E = [Cn; 1^T] and f = e_{m+1}, has m + 1 rows.  With g = mu / 1.mu,
+    y = Cn g is the point of conv(Cn) nearest the origin, and the
+    direction of y has the largest normalized margin.  y is accepted as
+    a witness by the closed form's rule,  min_j Cn_j.y > ZERO_TOL ||y||,
+    with z = y / min_j C_j.y.  Otherwise the verdict is infeasible and
+    the certificate carries the support of g, its weights and the
+    distance ||Cn g||.
+
+    Limit: the normalized margin of y is ||y||^2 in exact arithmetic,
+    while y carries rounding of order machine epsilon times the
+    conditioning of the passive columns.  So a witness verifies only at
+    a distance well above rounding: the tests' ``TIGHT_2x3`` lifted by a
+    first row of relative size 1e-7 verifies, lifted by 1e-12 to 1e-9 it
+    is reported infeasible (as ``lp_feasibility`` reports it) unless
+    ``closed_form_certificate`` certifies it.  There is no tolerance to
+    tune: a verified witness is always genuine.
+
+    Raises ``NumericalError`` when NNLS exceeds ``NNLS_MAX_ITER`` passes
+    per column.
+    """
+    C = as_matrix(columns, "columns")
+    m, p = C.shape
+    if p == 0:
+        return HalfspaceCertificate(feasible=True, z=np.ones(m), margin=np.inf, method="vacuous")
+    C, s, norms = _scaled_columns(C)
+    Cn = C / norms
+    mu = _nnls(np.vstack([Cn, np.ones((1, p))]), np.eye(m + 1)[m])
+    support = np.flatnonzero(mu)
+    g = mu[support] / mu[support].sum()
+    y = Cn[:, support] @ g
+    return _verified_witness(C, Cn, s, y, "nnls") or HalfspaceCertificate(
+        feasible=False,
+        method="nnls",
+        support=support,
+        weights=g,
+        distance=float(np.linalg.norm(y)),
+    )
 
 
 def nonzero_columns(M: np.ndarray) -> np.ndarray:

@@ -61,8 +61,8 @@ class TestRank:
 
     @pytest.mark.parametrize(
         "M, feasible, method",
-        [(TIGHT_2x3, False, "lp"), (random_uniform(4, 6, seed=1), True, "e1")],
-        ids=["lp", "e1"],
+        [(TIGHT_2x3, False, "nnls"), (random_uniform(4, 6, seed=1), True, "e1")],
+        ids=["nnls", "e1"],
     )
     def test_json_reports_the_certificate_branch(self, tmp_path, capsys, M, feasible, method):
         p, out = tmp_path / "m.csv", tmp_path / "report.json"
@@ -73,6 +73,29 @@ class TestRank:
         assert isinstance(payload["pivots"], int)
         assert (payload["pivots"] > 0) == (method == "lp")
         assert "method" not in capsys.readouterr().out
+
+    def test_json_reports_the_gordan_certificate(self, fixture_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["rank", str(fixture_file), "--json", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["support"] == [0, 1, 2]
+        assert sum(payload["weights"]) == pytest.approx(1.0)
+        assert 0.0 <= payload["distance"] <= 1e-12
+        assert "support" not in capsys.readouterr().out
+
+    def test_json_has_no_gordan_certificate_when_feasible(self, tmp_path):
+        p, out = tmp_path / "pos.csv", tmp_path / "report.json"
+        write_csv(p, random_uniform(4, 6, seed=1))
+        assert main(["rank", str(p), "--json", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["support"] is payload["weights"] is payload["distance"] is None
+
+    def test_nnls_iteration_limit_exits_3(self, fixture_file, capsys, monkeypatch):
+        import seminmf.halfspace
+
+        monkeypatch.setattr(seminmf.halfspace, "NNLS_MAX_ITER", 1)
+        assert main(["rank", str(fixture_file)]) == 3
+        assert "NNLS iteration limit" in capsys.readouterr().err
 
     def test_json_report_finite_at_extreme_scale(self, tmp_path):
         p, out = tmp_path / "huge.csv", tmp_path / "report.json"

@@ -10,7 +10,13 @@ from seminmf.factors import (
     semi_rank,
     sign_flip,
 )
-from seminmf.halfspace import halfspace_feasible, nonzero_columns
+from seminmf.halfspace import (
+    ZERO_TOL,
+    closed_form_certificate,
+    halfspace_feasible,
+    nnls_certificate,
+    nonzero_columns,
+)
 from seminmf.linalg import pow2_scale, random_gaussian, random_uniform, thin_svd
 
 TIGHT_2x3 = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
@@ -147,6 +153,27 @@ POLE_CASES = [
 ]
 
 
+def right_factor_columns(M, r):
+    """The nonzero columns of M's sign-flipped rank-r right factor, as
+    ``semi_rank`` tests them."""
+    M = M / pow2_scale(M)
+    _, B = sign_flip(*thin_svd(M).pair(r))
+    return B[:, nonzero_columns(B)]
+
+
+@pytest.mark.parametrize("rows", POLE_CASES)
+def test_nnls_witness_on_the_pole(rows):
+    # the correction stays exact when the witness comes from NNLS
+    M = np.array(rows, dtype=float)
+    M = M / pow2_scale(M)
+    A, B = sign_flip(*thin_svd(M).pair(2))
+    cert = nnls_certificate(B[:, nonzero_columns(B)])
+    assert cert.feasible and cert.method == "nnls"
+    fact = exact_semi_nmf_same_rank(A, B, cert.z)
+    assert fact.V.min() >= 0.0
+    assert np.linalg.norm(M - fact.U @ fact.V) <= 1e-9 * np.linalg.norm(M)
+
+
 def test_centroid_witness_on_the_pole():
     # the centroid of the normalized columns of POLE_CASES[1]'s right factor
     # puts the first correction on the pole; the scaled one must be exact
@@ -210,11 +237,14 @@ class TestSemiRank:
         assert semi_rank(ASYM_3x3.T).semi_rank == 3
 
     @pytest.mark.parametrize(
-        "right, method, lp_calls", [("uniform", "e1", 0), ("gaussian", "lp", 1)]
+        "right, method, lp_calls", [("uniform", "e1", 0), ("gaussian", "nnls", 0)]
     )
-    def test_lp_only_when_the_closed_form_misses(self, simplex_pivots, right, method, lp_calls):
+    def test_nnls_only_when_the_closed_form_misses(
+        self, simplex_pivots, right, method, lp_calls
+    ):
         # exact-rank-shaped products: a nonnegative right factor puts the
-        # leading right singular vector in the open positive orthant
+        # leading right singular vector in the open positive orthant; the
+        # Gaussian twin is infeasible and settled by NNLS, with no LP
         rng = np.random.default_rng(2026)
         A = rng.standard_normal((200, 80))
         B = rng.random((80, 400)) if right == "uniform" else rng.standard_normal((80, 400))
@@ -224,6 +254,35 @@ class TestSemiRank:
         assert rep.certificate.feasible == (right == "uniform")
         assert len(simplex_pivots) == lp_calls
         assert rep.certificate.pivots == sum(simplex_pivots)
+        if method == "nnls":
+            assert rep.certificate.support.size <= rep.rank + 1
+            assert rep.certificate.distance <= ZERO_TOL
+
+    def test_gordan_support_indexes_columns_of_m(self):
+        # zero columns are dropped before the test; the reported support
+        # must still name columns of M.  The weights are on the normalized
+        # right-factor columns b_j, so weights / ||b_j|| combine M's to 0
+        M = np.hstack([np.zeros((2, 2)), TIGHT_2x3[:, :2], np.zeros((2, 1)), TIGHT_2x3[:, 2:]])
+        cert = semi_rank(M).certificate
+        assert not cert.feasible
+        np.testing.assert_array_equal(cert.support, [2, 3, 5])
+        b_norms = np.linalg.norm(thin_svd(M).Vt[:2, cert.support], axis=0)
+        assert np.linalg.norm(M[:, cert.support] @ (cert.weights / b_norms)) <= ZERO_TOL
+
+    @pytest.mark.parametrize("lift", [1e-17, 1e-13, 1.8e-12, 1e-9, 1e-6])
+    def test_borderline_lift_verdict(self, lift):
+        # TIGHT_2x3 lifted by a first row of relative size lift: feasible
+        # exactly when the closed form certifies the right factor or the
+        # NNLS witness verifies, and exact with V >= 0 either way
+        M = np.vstack([lift * np.linalg.norm(TIGHT_2x3, axis=0), TIGHT_2x3])
+        rep = semi_rank(M)
+        C = right_factor_columns(M, rep.rank)
+        expected = closed_form_certificate(C) is not None or nnls_certificate(C).feasible
+        assert rep.certificate.feasible == expected
+        assert rep.semi_rank == rep.rank + (not expected)
+        f = rep.factorization
+        assert f.V.min() >= 0.0
+        assert np.linalg.norm(M - f.U @ f.V) <= 1e-9 * np.linalg.norm(M)
 
     def test_one_svd(self, svd_calls):
         semi_rank(random_gaussian(6, 9, seed=1))

@@ -8,11 +8,15 @@ import pytest
 from seminmf.bench import gen_noisy_semi
 from seminmf.exceptions import NumericalError
 from seminmf.factors import sign_flip
+import seminmf.halfspace
 from seminmf.halfspace import (
+    ZERO_TOL,
+    _nnls,
     bisection_epsilon,
     closed_form_certificate,
     halfspace_feasible,
     lp_feasibility,
+    nnls_certificate,
     nonzero_columns,
 )
 from seminmf.initializers import init_a3
@@ -222,11 +226,126 @@ class TestClosedForm:
     def test_unrepresentable_witness_raises(self):
         # every witness of columns of size 2**-1066 lies beyond the float range
         tiny = np.ldexp(np.array([[1.0, 2.0], [1.0, 1.0]]), -1066)
-        for test in (closed_form_certificate, lp_feasibility):
+        for test in (closed_form_certificate, nnls_certificate, lp_feasibility):
             with pytest.raises(NumericalError, match="scale 2\\*\\*-10"):
                 test(tiny)
         with pytest.raises(NumericalError, match="scale"):
             bisection_epsilon(np.ldexp(TIGHT_2x3, -1066))
+
+
+def exact_rank_columns(right):
+    """The nonzero columns of a sign-flipped rank-80 right factor of a
+    seeded 200x400 product with a Gaussian or uniform right factor."""
+    rng = np.random.default_rng(2026)
+    A = rng.standard_normal((200, 80))
+    B = rng.standard_normal((80, 400)) if right == "gaussian" else rng.random((80, 400))
+    yield from columns_of(A @ B)
+
+
+class TestNnlsCertificate:
+    """nnls_certificate: each verdict checked without the solver, the LP's
+    verdict, invariance, and the iteration cap."""
+
+    @staticmethod
+    def check(C, cert):
+        if cert.feasible:
+            assert cert.method in ("nnls", "vacuous")
+            assert np.min(C.T @ cert.z) >= 1.0 - 1e-9
+            return
+        m = C.shape[0]
+        mu, Cn = cert.weights, C[:, cert.support] / np.linalg.norm(C[:, cert.support], axis=0)
+        assert cert.method == "nnls" and cert.z is None
+        assert cert.support.size <= m + 1 and np.all(np.diff(cert.support) > 0)
+        assert mu.min() >= 0.0 and mu.sum() == pytest.approx(1.0, abs=1e-12)
+        assert cert.distance == pytest.approx(np.linalg.norm(Cn @ mu), rel=1e-6, abs=1e-15)
+
+    def test_verdicts_verify_and_agree_with_the_lp(self):
+        verdicts = []
+        for M in agreement_inputs():
+            for C in columns_of(M):
+                cert = nnls_certificate(C)
+                self.check(C, cert)
+                assert cert.feasible == lp_feasibility(C).feasible
+                verdicts.append(cert.feasible)
+        assert len(verdicts) == 480 and 100 <= sum(verdicts) <= 380
+
+    @pytest.mark.parametrize("right", ["gaussian", "uniform"])
+    def test_exact_rank_shape(self, right):
+        for C in exact_rank_columns(right):
+            cert = nnls_certificate(C)
+            self.check(C, cert)
+            assert cert.feasible == (right == "uniform") == lp_feasibility(C).feasible
+            if not cert.feasible:
+                assert cert.distance <= ZERO_TOL
+
+    @pytest.mark.parametrize("C", [TIGHT_2x3, BOUNDARY_2x3], ids=["tight", "boundary"])
+    def test_boundary_fixtures_are_infeasible_at_distance_zero(self, C):
+        cert = nnls_certificate(C)
+        self.check(C, cert)
+        assert not cert.feasible and not lp_feasibility(C).feasible
+        assert cert.distance <= ZERO_TOL
+
+    @pytest.mark.parametrize("lift", [1e-17, 1e-13, 1.8e-12, 1e-9, 1e-7, 1e-6])
+    def test_borderline_lift(self, lift):
+        # TIGHT_2x3 lifted by a first row of relative size lift is feasible
+        # (e1 is a witness in exact arithmetic) at distance about lift.  The
+        # NNLS witness verifies only from a distance of about 1e-6; the closed
+        # form certifies every lift above ZERO_TOL
+        C = np.vstack([lift * np.linalg.norm(TIGHT_2x3, axis=0), TIGHT_2x3])
+        cert = nnls_certificate(C)
+        self.check(C, cert)
+        assert cert.feasible == (lift >= 1e-7)
+        if not cert.feasible:
+            assert cert.distance == pytest.approx(lift, rel=1e-3, abs=1e-15)
+        assert (closed_form_certificate(C) or cert).feasible == (lift > ZERO_TOL)
+
+    def test_residual_matches_scipy(self):
+        nnls = pytest.importorskip("scipy.optimize").nnls
+        checked = 0
+        for M in list(agreement_inputs())[:60]:
+            for C in columns_of(M):
+                Cn = C / np.linalg.norm(C, axis=0)
+                E = np.vstack([Cn, np.ones((1, C.shape[1]))])
+                f = np.eye(E.shape[0])[-1]
+                _, rnorm = nnls(E, f)
+                assert np.linalg.norm(E @ _nnls(E, f) - f) == pytest.approx(rnorm, abs=1e-12)
+                checked += 1
+        assert checked == 120
+
+    @pytest.mark.parametrize("k", [-600, 600])
+    def test_power_of_two_scale_is_bitwise(self, k):
+        verdicts = set()
+        for M in list(agreement_inputs())[:40]:
+            for C in columns_of(M):
+                base, scaled = nnls_certificate(C), nnls_certificate(np.ldexp(C, k))
+                verdicts.add(base.feasible)
+                assert scaled.feasible == base.feasible
+                if base.feasible:
+                    assert np.array_equal(scaled.z, np.ldexp(base.z, -k))
+                    assert scaled.margin == base.margin
+                else:
+                    assert np.array_equal(scaled.support, base.support)
+                    assert np.array_equal(scaled.weights, base.weights)
+                    assert scaled.distance == base.distance
+        assert verdicts == {True, False}
+
+    def test_column_order_does_not_change_the_verdict(self):
+        rng = np.random.default_rng(7)
+        for M in list(agreement_inputs())[:80]:
+            for C in columns_of(M):
+                perm = rng.permutation(C.shape[1])
+                cert = nnls_certificate(C[:, perm])
+                self.check(C[:, perm], cert)
+                assert cert.feasible == nnls_certificate(C).feasible
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(seminmf.halfspace, "NNLS_MAX_ITER", 1)
+        with pytest.raises(NumericalError, match="NNLS iteration limit"):
+            nnls_certificate(TIGHT_2x3)
+
+    def test_empty_input_is_vacuous(self):
+        cert = nnls_certificate(np.zeros((3, 0)))
+        assert cert.feasible and cert.method == "vacuous"
 
 
 class TestBisection:
