@@ -121,7 +121,7 @@ def _generate(cfg: "TrialConfig", seed: int) -> np.ndarray:
 def config_problems(fields: dict) -> list[str]:
     """Validate a config dict; fields left out take their TrialConfig defaults.
 
-    Returns one message per offending field.
+    Returns one message per offending field, led by the field's name and a colon.
     """
     f = {d.name: d.default for d in dataclass_fields(TrialConfig) if d.default is not MISSING}
     f.update(fields)

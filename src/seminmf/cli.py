@@ -140,12 +140,17 @@ PRESETS = {
 }
 
 
+def _semi_inner_dim(r: int) -> int:
+    """Default inner dimension of a semi_nonneg product of rank r."""
+    return r + 10
+
+
 def preset_configs(name: str) -> list[TrialConfig]:
     p = PRESETS[name]
     cfgs = []
     for r in p["ranks"]:
         cfgs.append(TrialConfig("nonnegative", p["m"], p["n"], r))
-        cfgs.append(TrialConfig("semi_nonneg", p["m"], p["n"], r, inner_dim=r + 10))
+        cfgs.append(TrialConfig("semi_nonneg", p["m"], p["n"], r, inner_dim=_semi_inner_dim(r)))
         for delta in (5.0, 10.0, math.inf):
             cfgs.append(TrialConfig("noisy_semi", p["m"], p["n"], r, delta=delta))
     return cfgs
@@ -157,6 +162,7 @@ _INT_KEYS = {"m", "n", "r", "inner_dim", "max_iter", "restarts"}
 def parse_suite_line(line: str, lineno: int) -> TrialConfig:
     fields: dict = {}
     problems = []
+    unparsed = set()  # fields whose token error is already listed
     for token in line.split():
         if "=" not in token:
             problems.append(f"token {token!r} is not key=value")
@@ -167,11 +173,13 @@ def parse_suite_line(line: str, lineno: int) -> TrialConfig:
                 fields[key] = int(value)
             except ValueError:
                 problems.append(f"{key}: expected integer, got {value!r}")
+                unparsed.add(key)
         elif key == "delta":
             try:
                 fields[key] = math.inf if value == "inf" else float(value)
             except ValueError:
                 problems.append(f"delta: expected number or 'inf', got {value!r}")
+                unparsed.add(key)
         elif key == "strategies":
             fields[key] = tuple(value.split(","))
         elif key == "checkpoints":
@@ -179,14 +187,18 @@ def parse_suite_line(line: str, lineno: int) -> TrialConfig:
                 fields[key] = tuple(int(v) for v in value.split(","))
             except ValueError:
                 problems.append(f"checkpoints: expected integers, got {value!r}")
+                unparsed.add(key)
         elif key in ("generator", "name"):
             fields[key] = value
         else:
             problems.append(f"unknown key {key!r}")
     if fields.get("generator") == "semi_nonneg" and "inner_dim" not in fields:
-        if isinstance(fields.get("r"), int):
-            fields["inner_dim"] = fields["r"] + 10
-    problems += config_problems({k: v for k, v in fields.items() if k != "name"})
+        if "r" in fields:
+            fields["inner_dim"] = _semi_inner_dim(fields["r"])
+        else:  # the default needs r, whose problem is listed on its own
+            unparsed.add("inner_dim")
+    schema = config_problems({k: v for k, v in fields.items() if k != "name"})
+    problems += [msg for msg in schema if msg.split(":", 1)[0] not in unparsed]
     if not problems:
         return TrialConfig(**fields)
     raise UsageError(f"suite line {lineno}: " + "; ".join(problems))

@@ -30,6 +30,7 @@ import numpy as np
 from .halfspace import (
     ZERO_TOL,
     HalfspaceCertificate,
+    _vacuous,
     closed_form_certificate,
     lp_feasibility,  # noqa: F401  unused here, but perfbench/tracer.py wraps this name
     nnls_certificate,
@@ -208,9 +209,8 @@ def semi_rank(M, zero_tol: float = ZERO_TOL) -> SemiRankReport:
     r = int(np.sum(S > cutoff))
 
     if r == 0:
-        cert = HalfspaceCertificate(feasible=True, z=np.ones(0), margin=np.inf, method="vacuous")
         fact = Factorization(U=np.zeros((m, 0)), V=np.zeros((0, n)), frob_error=frob(M) * s)
-        return SemiRankReport(rank=0, semi_rank=0, certificate=cert, factorization=fact)
+        return SemiRankReport(rank=0, semi_rank=0, certificate=_vacuous(0), factorization=fact)
 
     A, B = svd.pair(r)
     scale = float(np.max(np.abs(M)))
@@ -229,9 +229,8 @@ def semi_rank(M, zero_tol: float = ZERO_TOL) -> SemiRankReport:
     else:
         inner = lift_rank_plus_one(A, B)
         rs = r + 1
-    V = inner.V.copy()
-    V[:, ~keep] = 0.0
+    # both constructions already return exactly +0.0 on the columns outside keep
     fact = Factorization(
-        U=inner.U * s, V=V, frob_error=frob(M - inner.U @ V) * s, clamped=inner.clamped
+        U=inner.U * s, V=inner.V, frob_error=frob(M - inner.U @ inner.V) * s, clamped=inner.clamped
     )
     return SemiRankReport(rank=r, semi_rank=rs, certificate=cert, factorization=fact)

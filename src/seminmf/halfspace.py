@@ -21,6 +21,11 @@ nearest the origin.  That point is a max-margin witness when it verifies,
 and otherwise its weights are a Gordan certificate of infeasibility.
 The bisection keeps ``lp_feasibility``.
 
+Every witness passes one rule (``_verified_witness``): a direction y is
+accepted only when  min_j (c_j / ||c_j||).y > ZERO_TOL * ||y||,  and the
+witness is y / min_j c_j.y.  The LP's z, e1, the centroid, the NNLS hull
+point and the all-ones vector at the bisection's eps_plus are such y.
+
 ``bisection_epsilon`` searches for the smallest shift eps >= 0 such that
 the columns of B + eps (entrywise) admit such a witness, by bisection on
 eps over [0, eps_plus] with eps_plus = max(0, -min(B)), where the upper
@@ -100,30 +105,44 @@ class BisectionResult:
     pivots: int = 0
 
 
-def _scaled_columns(C: np.ndarray):
-    """(C / s, s, column norms) with s = ``pow2_scale(C)``; the division
-    is exact, so nothing depends on a power-of-two scale of C."""
+def _vacuous(m: int) -> HalfspaceCertificate:
+    """The certificate of a test with no column: any z is a witness."""
+    return HalfspaceCertificate(feasible=True, z=np.ones(m), margin=np.inf, method="vacuous")
+
+
+def _normalized(C: np.ndarray):
+    """(C / s, its unit-normalized columns, s) with s = ``pow2_scale(C)``;
+    the division is exact, so nothing depends on a power-of-two scale of C."""
     s = pow2_scale(C)
     C = C / s
     norms = np.linalg.norm(C, axis=0)
     if np.any(norms == 0.0):
         raise ValueError("containment tests require nonzero columns")
-    return C, s, norms
+    return C, C / norms, s
 
 
-def _unscaled_witness(z: np.ndarray, s: float) -> np.ndarray:
-    """z / s for a witness z of columns / s.
+def _verified_witness(C, Cn, s, y, method, pivots=0) -> HalfspaceCertificate | None:
+    """Feasible certificate from the candidate direction y, or None.
 
-    Raises ``NumericalError`` when that is not representable: columns of
+    ``C``, ``Cn`` and ``s`` come from ``_normalized``.  The one witness
+    rule: y is accepted only when  min_j Cn_j.y > ZERO_TOL * ||y||,  far
+    above the rounding of the products, so columns on the boundary of a
+    half space (which have no witness) are never accepted.  The witness
+    is y / min_j C_j.y, of margin 1, divided by s.  Raises
+    ``NumericalError`` when that is not representable: columns of
     subnormal size need a witness beyond the float range.
     """
+    if not np.min(Cn.T @ y) > ZERO_TOL * np.linalg.norm(y):
+        return None
+    z = y / np.min(C.T @ y)
+    margin = float(np.min(C.T @ z))
     with np.errstate(over="ignore"):
         z = z / s
     if not np.isfinite(z).all():
         raise NumericalError(
             f"half-space witness overflows at column scale 2**{int(np.frexp(s)[1]) - 1}"
         )
-    return z
+    return HalfspaceCertificate(feasible=True, z=z, margin=margin, pivots=pivots, method=method)
 
 
 def lp_feasibility(columns) -> HalfspaceCertificate:
@@ -136,17 +155,16 @@ def lp_feasibility(columns) -> HalfspaceCertificate:
     while infeasibility forces some product nonpositive and hence
     t >= min b.  The right-hand sides carry a deterministic spread (b_j
     slightly above 1) so the infeasible optimum vertex is not
-    degenerate, which keeps the pivot count small.  The returned witness
-    is rescaled so the minimum product over the original columns is 1.
-    The columns are first divided by ``pow2_scale`` (exact), so nothing
-    depends on a power-of-two scale of the input.
+    degenerate, which keeps the pivot count small.  The optimal z passes
+    the witness rule of ``_verified_witness``, or ``NumericalError`` is
+    raised.  The columns are first divided by ``pow2_scale`` (exact), so
+    nothing depends on a power-of-two scale of the input.
     """
     C = as_matrix(columns, "columns")
     m, p = C.shape
     if p == 0:
-        return HalfspaceCertificate(feasible=True, z=np.ones(m), margin=np.inf, method="vacuous")
-    C, s, norms = _scaled_columns(C)
-    Cn = C / norms
+        return _vacuous(m)
+    C, Cn, s = _normalized(C)
 
     # variables: z+ (m), z- (m), t (1), slack s (p)
     # constraint j:  c_j.(z+ - z-) + t - s_j = b_j,   minimize t
@@ -161,62 +179,32 @@ def lp_feasibility(columns) -> HalfspaceCertificate:
     if t_star > 0.5:
         return HalfspaceCertificate(feasible=False, pivots=res.iterations)
 
-    z = (res.x[:m] - res.x[m : 2 * m]) / norms.min()
-    margin = float(np.min(C.T @ z))
-    if margin <= 0.0:
-        raise NumericalError(
-            f"half-space witness failed verification: slack {t_star:.3e} "
-            f"but margin {margin:.3e}"
-        )
-    z = z / margin
-    return HalfspaceCertificate(
-        feasible=True,
-        z=_unscaled_witness(z, s),
-        margin=float(np.min(C.T @ z)),
-        pivots=res.iterations,
-    )
+    # only y's direction matters; the 1 / min ||c|| prescale pins z's rounding
+    y = (res.x[:m] - res.x[m : 2 * m]) / np.linalg.norm(C, axis=0).min()
+    cert = _verified_witness(C, Cn, s, y, "lp", res.iterations)
+    if cert is None:
+        raise NumericalError(f"half-space witness failed verification at slack {t_star:.3e}")
+    return cert
 
 
 def closed_form_certificate(columns) -> HalfspaceCertificate | None:
     """Feasible certificate from a fixed witness, or None when undecided.
 
     Tries y = e1, then the centroid y = sum_j c_j / ||c_j||, on the
-    columns (all nonzero) divided by ``pow2_scale``.  A candidate is
-    accepted only when  min_j (c_j / ||c_j||).y > ZERO_TOL * ||y||,
-    far above the rounding of the products, so columns on the boundary
-    of a half space (which have no witness) are never accepted.  The
-    witness is y / min_j c_j.y, of margin 1.  None says nothing about
-    feasibility: the LP has to settle it.
+    columns (all nonzero), each under the witness rule of
+    ``_verified_witness``.  None says nothing about feasibility: the LP
+    has to settle it.
     """
     C = as_matrix(columns, "columns")
     m, p = C.shape
     if p == 0:
         return None
-    C, s, norms = _scaled_columns(C)
-    Cn = C / norms
+    C, Cn, s = _normalized(C)
     for method, y in (("e1", np.eye(m)[0]), ("centroid", Cn.sum(axis=1))):
         cert = _verified_witness(C, Cn, s, y, method)
         if cert is not None:
             return cert
     return None
-
-
-def _verified_witness(C, Cn, s, y, method) -> HalfspaceCertificate | None:
-    """Feasible certificate from the candidate direction y, or None.
-
-    ``C`` is the input divided by ``s``, ``Cn`` its unit-normalized
-    columns.  y is accepted only when  min_j Cn_j.y > ZERO_TOL * ||y||;
-    the witness is y / min_j C_j.y, of margin 1.
-    """
-    if not np.min(Cn.T @ y) > ZERO_TOL * np.linalg.norm(y):
-        return None
-    z = y / np.min(C.T @ y)
-    return HalfspaceCertificate(
-        feasible=True,
-        z=_unscaled_witness(z, s),
-        margin=float(np.min(C.T @ z)),
-        method=method,
-    )
 
 
 def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -281,10 +269,9 @@ def nnls_certificate(columns) -> HalfspaceCertificate:
     E = [Cn; 1^T] and f = e_{m+1}, has m + 1 rows.  With g = mu / 1.mu,
     y = Cn g is the point of conv(Cn) nearest the origin, and the
     direction of y has the largest normalized margin.  y is accepted as
-    a witness by the closed form's rule,  min_j Cn_j.y > ZERO_TOL ||y||,
-    with z = y / min_j C_j.y.  Otherwise the verdict is infeasible and
-    the certificate carries the support of g, its weights and the
-    distance ||Cn g||.
+    a witness by the rule of ``_verified_witness``; otherwise the verdict
+    is infeasible and the certificate carries the support of g, its
+    weights and the distance ||Cn g||.
 
     Limit: the normalized margin of y is ||y||^2 in exact arithmetic,
     while y carries rounding of order machine epsilon times the
@@ -301,9 +288,8 @@ def nnls_certificate(columns) -> HalfspaceCertificate:
     C = as_matrix(columns, "columns")
     m, p = C.shape
     if p == 0:
-        return HalfspaceCertificate(feasible=True, z=np.ones(m), margin=np.inf, method="vacuous")
-    C, s, norms = _scaled_columns(C)
-    Cn = C / norms
+        return _vacuous(m)
+    C, Cn, s = _normalized(C)
     mu = _nnls(np.vstack([Cn, np.ones((1, p))]), np.eye(m + 1)[m])
     support = np.flatnonzero(mu)
     g = mu[support] / mu[support].sum()
@@ -363,13 +349,12 @@ def bisection_epsilon(B) -> BisectionResult:
     if cert0.feasible:
         return BisectionResult(0.0, cert0.z, eps_plus, lp_calls, tuple(trace), pivots)
 
-    # B + eps_plus >= 0 entrywise, so a scaled all-ones witness works there;
-    # it has a nonzero column, or B would be constant and feasible at eps = 0
+    # B + eps_plus >= 0, so y = 1 passes: min_j ||Cn_j||_1 >= 1 > ZERO_TOL * sqrt(m);
+    # a nonzero column is left, or B would be constant and feasible at eps = 0
     eps_lo, eps_hi = 0.0, eps_plus
     top = B + eps_plus
-    s = pow2_scale(top)
-    sums = (top / s)[:, nonzero_columns(top)].sum(axis=0)
-    y_hi = _unscaled_witness(np.ones(B.shape[0]) / sums.min(), s)
+    C, Cn, s = _normalized(top[:, nonzero_columns(top)])
+    y_hi = _verified_witness(C, Cn, s, np.ones(B.shape[0]), "ones").z
     trace.append((eps_plus, True))
     for _ in range(BISECTION_STEPS):
         mid = 0.5 * (eps_lo + eps_hi)

@@ -283,6 +283,20 @@ class TestBench:
         assert "suite line 2: delta: nan invalid" in err
         assert "suite line 3: delta: -inf invalid" in err
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("generator=noisy_semi m=abc n=10 r=2 delta=1", "m: expected integer, got 'abc'"),
+            ("generator=semi_nonneg m=8 n=10 r=x", "r: expected integer, got 'x'"),
+        ],
+        ids=["m", "inner_dim-default"],
+    )
+    def test_bad_field_reported_once(self, tmp_path, capsys, line, message):
+        suite = tmp_path / "bad.cfg"
+        suite.write_text(line + "\n")
+        assert main(["bench", "--suite", str(suite), "--trials", "1", "--out", "/dev/null"]) == 2
+        assert capsys.readouterr().err == f"error: suite line 1: {message}\n"
+
     def test_needs_exactly_one_source(self, capsys):
         assert main(["bench", "--trials", "1"]) == 2
 

@@ -21,6 +21,7 @@ from seminmf.halfspace import (
 )
 from seminmf.initializers import init_a3
 from seminmf.linalg import random_gaussian, thin_svd
+from seminmf.simplex import SimplexResult
 
 TIGHT_2x3 = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])  # spans the whole plane
 BOUNDARY_2x3 = np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])  # two antipodal columns
@@ -130,6 +131,15 @@ class TestLpFeasibility:
         C = np.array([[2.0, 1.0], [0.5, 3.0]])
         cert = lp_feasibility(C)
         assert cert.margin == pytest.approx(1.0, abs=1e-9)
+
+    def test_failed_witness_verification_raises(self, monkeypatch):
+        # an optimum with t = 0 but z+ = z- = 0 has no direction to verify
+        def zero_solution(cost, A, b, **kwargs):
+            return SimplexResult(x=np.zeros(A.shape[1]), objective=0.0, iterations=1)
+
+        monkeypatch.setattr(seminmf.halfspace, "simplex_min", zero_solution)
+        with pytest.raises(NumericalError, match="failed verification"):
+            lp_feasibility(np.array([[2.0, 1.0], [0.5, 3.0]]))
 
 
 def agreement_inputs():
@@ -380,6 +390,19 @@ class TestBisection:
             keep = np.linalg.norm(shifted, axis=0) > 1e-12 * np.abs(shifted).max()
             y = np.ones(4) / shifted[:, keep].sum(axis=0).min()
             assert np.min(shifted[:, keep].T @ y) >= 1.0 - 1e-12
+
+    def test_epsilon_plus_endpoint_witness(self):
+        # every shift below 1 leaves the columns -1+eps and 1+eps antipodal,
+        # so all ten midpoints fail and the endpoint's all-ones witness is returned
+        B = np.array([[-1.0, 1.0], [-1.0, 1.0]])
+        res = bisection_epsilon(B)
+        assert res.epsilon_star == res.epsilon_plus == 1.0
+        assert res.trace[1] == (1.0, True)
+        assert len(res.trace) == 12 and not any(ok for _, ok in res.trace[2:])
+        assert res.lp_calls == 11
+        assert res.y_star.tolist() == [0.25, 0.25]
+        top = B + 1.0
+        assert np.min(top[:, nonzero_columns(top)].T @ res.y_star) >= 1.0 - 1e-12
 
     def test_trace_bracketing(self):
         for seed in range(6):
