@@ -15,16 +15,18 @@ independent of execution order and of the number of worker processes.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import MISSING, dataclass, field
-from dataclasses import fields as dataclass_fields
 
 import numpy as np
 
 from .exceptions import NumericalError
 from .initializers import STRATEGY_KINDS, InitStrategy, initialize
-from .linalg import Svd, as_matrix, best_rank_error, frob, least_squares_left, make_rng, thin_svd
+from .linalg import (
+    Svd, as_matrix, best_rank_error, frob, least_squares_left, make_rng, pow2_scale, thin_svd,
+)
 from .solver import cd_semi_nmf
 
 __all__ = [
@@ -123,7 +125,7 @@ def config_problems(fields: dict) -> list[str]:
 
     Returns one message per offending field, led by the field's name and a colon.
     """
-    f = {d.name: d.default for d in dataclass_fields(TrialConfig) if d.default is not MISSING}
+    f = {d.name: d.default for d in dataclasses.fields(TrialConfig) if d.default is not MISSING}
     f.update(fields)
     errs = []
     gen = f.get("generator")
@@ -154,8 +156,6 @@ def config_problems(fields: dict) -> list[str]:
         errs.append("max_iter: must be >= 1")
     elif any(c < 0 or c > f["max_iter"] for c in f["checkpoints"]):
         errs.append(f"checkpoints: must lie in [0, {f['max_iter']}]")
-    if not isinstance(f["restarts"], int) or f["restarts"] < 1:
-        errs.append("restarts: must be >= 1")
     return errs
 
 
@@ -172,16 +172,10 @@ class TrialConfig:
     strategies: tuple[str, ...] = STRATEGY_KINDS
     max_iter: int = 100
     checkpoints: tuple[int, ...] = (10, 100)
-    restarts: int = 1
     name: str = ""
 
     def __post_init__(self):
-        errs = config_problems(
-            {k: getattr(self, k) for k in (
-                "generator", "m", "n", "r", "inner_dim", "delta",
-                "strategies", "max_iter", "checkpoints", "restarts",
-            )}
-        )
+        errs = config_problems(dataclasses.asdict(self))
         if errs:
             raise ValueError("; ".join(errs))
         if not self.name:
@@ -227,15 +221,6 @@ def _trial_seed(master_seed: int, *key: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _failure_record(cfg, ti, seed, strategy, msg):
-    return ExperimentRecord(
-        config=cfg.name, generator=cfg.generator, m=cfg.m, n=cfg.n, r=cfg.r,
-        inner_dim=cfg.inner_dim, delta=cfg.delta, strategy=strategy, trial=ti,
-        seed=seed, quality_trace=np.array([]), final_quality=math.nan,
-        checkpoint_quality={c: math.nan for c in cfg.checkpoints}, error=msg,
-    )
-
-
 def run_start(M, r: int, strategy: InitStrategy, max_iter: int, svd: Svd):
     """One start and ``max_iter`` coordinate descent iterations from it.
 
@@ -244,14 +229,21 @@ def run_start(M, r: int, strategy: InitStrategy, max_iter: int, svd: Svd):
     Returns (Factorization, errors, epsilon_star): errors[0] is the
     start's error and errors[t] the error after t iterations;
     epsilon_star is the A3 shift, None for the other strategies.
+
+    The work is done on M / s, where s = ``pow2_scale(M)`` is a power of
+    two, so the iterates neither under- nor overflow at any scale of M;
+    the division is exact, and U and the errors are scaled back by s.
     """
+    s = pow2_scale(M)
+    M = M / s
+    svd = Svd(svd.U, svd.S / s, svd.Vt)
     init = initialize(M, r, strategy, svd)
     U0 = init.U0 if init.U0 is not None else least_squares_left(M, init.V0)
     init_err = frob(M - U0 @ init.V0)
     fact, trace = cd_semi_nmf(M, init.V0, max_iter)
-    errors = np.concatenate([[init_err], trace.errors])
+    errors = np.concatenate([[init_err], trace.errors]) * s
     eps = init.bisection.epsilon_star if init.bisection is not None else None
-    return fact, errors, eps
+    return dataclasses.replace(fact, U=fact.U * s, frob_error=fact.frob_error * s), errors, eps
 
 
 def _run_trial(cfg: TrialConfig, ci: int, ti: int, master_seed: int) -> list[ExperimentRecord]:
@@ -261,41 +253,33 @@ def _run_trial(cfg: TrialConfig, ci: int, ti: int, master_seed: int) -> list[Exp
     best_err = svd.tail_error(cfg.r)
     frob_m = frob(M)
 
+    row = dict(
+        config=cfg.name, generator=cfg.generator, m=cfg.m, n=cfg.n, r=cfg.r,
+        inner_dim=cfg.inner_dim, delta=cfg.delta, trial=ti,
+    )
     records = []
     for si, strategy in enumerate(cfg.strategies):
-        best_run = None
-        eps_star = None
-        wall = 0.0
-        failure = None
-        for restart in range(cfg.restarts):
-            seed = _trial_seed(master_seed, ci, ti, 1 + si, restart)
-            t0 = time.perf_counter()
-            try:
-                strat = InitStrategy(kind=strategy, seed=seed)
-                _, errors, eps = run_start(M, cfg.r, strat, cfg.max_iter, svd)
-            except (ValueError, NumericalError) as exc:
-                failure = str(exc)
-                break
-            wall += time.perf_counter() - t0
-            if best_run is None or errors[-1] < best_run[1][-1]:
-                best_run = (seed, errors)
-                eps_star = eps
-        if failure is not None or best_run is None:
-            records.append(_failure_record(cfg, ti, matrix_seed, strategy, failure or "no run"))
+        # the trailing 0 is part of the seed derivation: dropping it changes every seed
+        seed = _trial_seed(master_seed, ci, ti, 1 + si, 0)
+        t0 = time.perf_counter()
+        try:
+            strat = InitStrategy(kind=strategy, seed=seed)
+            _, errors, eps = run_start(M, cfg.r, strat, cfg.max_iter, svd)
+        except (ValueError, NumericalError) as exc:
+            records.append(ExperimentRecord(
+                **row, strategy=strategy, seed=matrix_seed, error=str(exc),
+                quality_trace=np.array([]), final_quality=math.nan,
+                checkpoint_quality={c: math.nan for c in cfg.checkpoints},
+            ))
             continue
-        seed, errors = best_run
+        wall = time.perf_counter() - t0
         qual = np.array([quality_from_error(e, best_err, frob_m) for e in errors])
-        records.append(
-            ExperimentRecord(
-                config=cfg.name, generator=cfg.generator, m=cfg.m, n=cfg.n,
-                r=cfg.r, inner_dim=cfg.inner_dim, delta=cfg.delta,
-                strategy=strategy, trial=ti, seed=seed,
-                quality_trace=qual, final_quality=float(qual[-1]),
-                checkpoint_quality={c: float(qual[c]) for c in cfg.checkpoints},
-                epsilon_star=eps_star, wall_time=wall,
-                error_trace=errors, best_error=best_err, frob_m=frob_m,
-            )
-        )
+        records.append(ExperimentRecord(
+            **row, strategy=strategy, seed=seed, epsilon_star=eps, wall_time=wall,
+            quality_trace=qual, final_quality=float(qual[-1]),
+            checkpoint_quality={c: float(qual[c]) for c in cfg.checkpoints},
+            error_trace=errors, best_error=best_err, frob_m=frob_m,
+        ))
     return records
 
 

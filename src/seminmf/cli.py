@@ -21,7 +21,7 @@ Suite files are flat text: one config per line of ``key=value`` tokens,
 ``#`` comments allowed.  Keys: generator (nonnegative | semi_nonneg |
 noisy_semi), m, n, r, inner_dim (semi_nonneg only, default r+10), delta
 (noisy_semi only; >= 0, ``inf`` allowed), strategies (comma list of
-rd,km,a2,a3), max_iter, checkpoints (comma list), restarts, name.
+rd,km,a2,a3), max_iter, checkpoints (comma list), name.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .exceptions import NumericalError
 from .factors import semi_rank
 from .halfspace import ZERO_TOL
 from .initializers import STRATEGY_KINDS, InitStrategy
-from .linalg import frob, thin_svd
+from .linalg import Svd, frob, pow2_scale, thin_svd
 from .matio import read_matrix, write_matrix
 
 USAGE_ERROR = 2
@@ -111,9 +111,12 @@ def _cmd_factorize(args) -> int:
     svd = thin_svd(M)
     fact, errors, eps = bench.run_start(M, args.rank, strat, args.maxiter, svd)
 
-    best = svd.tail_error(args.rank)
-    fm = frob(M)
-    qual = quality_from_error(fact.frob_error, best, fm)
+    # the quality is a ratio of errors: take it on M / s, as run_start works,
+    # so that no squared singular value or norm under- or overflows
+    s = pow2_scale(M)
+    best = Svd(svd.U, svd.S / s, svd.Vt).tail_error(args.rank)
+    fm = frob(M / s)
+    qual = quality_from_error(fact.frob_error / s, best, fm)
     if eps is not None:
         print(f"epsilon_star={eps:.6e}")
     print(f"frob_error={fact.frob_error:.17e}")
@@ -126,7 +129,7 @@ def _cmd_factorize(args) -> int:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write("iteration,frob_error,quality\n")
             for t, e in enumerate(map(float, errors)):
-                fh.write(f"{t},{e!r},{quality_from_error(e, best, fm)!r}\n")
+                fh.write(f"{t},{e!r},{quality_from_error(e / s, best, fm)!r}\n")
     return 0
 
 
@@ -156,7 +159,19 @@ def preset_configs(name: str) -> list[TrialConfig]:
     return cfgs
 
 
-_INT_KEYS = {"m", "n", "r", "inner_dim", "max_iter", "restarts"}
+# key -> (parser, what a value that fails to parse was expected to be)
+_SUITE_KEYS = {
+    "generator": (str, None),
+    "m": (int, "integer"),
+    "n": (int, "integer"),
+    "r": (int, "integer"),
+    "inner_dim": (int, "integer"),
+    "delta": (float, "number or 'inf'"),
+    "strategies": (lambda value: tuple(value.split(",")), None),
+    "max_iter": (int, "integer"),
+    "checkpoints": (lambda value: tuple(map(int, value.split(","))), "integers"),
+    "name": (str, None),
+}
 
 
 def parse_suite_line(line: str, lineno: int) -> TrialConfig:
@@ -168,36 +183,21 @@ def parse_suite_line(line: str, lineno: int) -> TrialConfig:
             problems.append(f"token {token!r} is not key=value")
             continue
         key, _, value = token.partition("=")
-        if key in _INT_KEYS:
-            try:
-                fields[key] = int(value)
-            except ValueError:
-                problems.append(f"{key}: expected integer, got {value!r}")
-                unparsed.add(key)
-        elif key == "delta":
-            try:
-                fields[key] = math.inf if value == "inf" else float(value)
-            except ValueError:
-                problems.append(f"delta: expected number or 'inf', got {value!r}")
-                unparsed.add(key)
-        elif key == "strategies":
-            fields[key] = tuple(value.split(","))
-        elif key == "checkpoints":
-            try:
-                fields[key] = tuple(int(v) for v in value.split(","))
-            except ValueError:
-                problems.append(f"checkpoints: expected integers, got {value!r}")
-                unparsed.add(key)
-        elif key in ("generator", "name"):
-            fields[key] = value
-        else:
+        if key not in _SUITE_KEYS:
             problems.append(f"unknown key {key!r}")
+            continue
+        parse, expected = _SUITE_KEYS[key]
+        try:
+            fields[key] = parse(value)
+        except ValueError:
+            problems.append(f"{key}: expected {expected}, got {value!r}")
+            unparsed.add(key)
     if fields.get("generator") == "semi_nonneg" and "inner_dim" not in fields:
         if "r" in fields:
             fields["inner_dim"] = _semi_inner_dim(fields["r"])
         else:  # the default needs r, whose problem is listed on its own
             unparsed.add("inner_dim")
-    schema = config_problems({k: v for k, v in fields.items() if k != "name"})
+    schema = config_problems(fields)
     problems += [msg for msg in schema if msg.split(":", 1)[0] not in unparsed]
     if not problems:
         return TrialConfig(**fields)
@@ -224,14 +224,12 @@ def parse_suite_file(path) -> list[TrialConfig]:
 
 
 def _cmd_bench(args) -> int:
-    if (args.suite is None) == (args.preset is None):
-        raise UsageError("bench needs exactly one of --suite or --preset")
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
     if args.jobs < 1:
         raise UsageError("--jobs must be >= 1")
     configs = (
-        parse_suite_file(args.suite) if args.suite else preset_configs(args.preset)
+        parse_suite_file(args.suite) if args.suite is not None else preset_configs(args.preset)
     )
     records = run_experiment(configs, args.trials, args.seed, jobs=args.jobs)
     csv_text = records_to_csv(records)
@@ -286,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.set_defaults(func=_cmd_factorize)
 
     pb = sub.add_parser("bench", help="seeded benchmark suites")
-    src = pb.add_mutually_exclusive_group()
+    src = pb.add_mutually_exclusive_group(required=True)
     src.add_argument("--suite", help="suite config file (see module docstring)")
     src.add_argument("--preset", choices=sorted(PRESETS))
     pb.add_argument("--trials", type=int, default=50)

@@ -133,6 +133,18 @@ class TestRunExperiment:
         assert by_strategy["a2"].error is not None  # a2 cannot run at r = 1
         assert by_strategy["a3"].error is None
 
+    def test_seeds_pinned(self):
+        # SeedSequence gives these on every platform: a success row carries
+        # its strategy seed (master, config, trial, 1 + strategy, 0), a
+        # failure row the matrix seed (master, config, trial, 0)
+        cfg = TrialConfig(
+            "nonnegative", 6, 8, 1, strategies=("rd", "a2"), max_iter=3, checkpoints=(3,)
+        )
+        rd, a2 = run_experiment([cfg], trials=1, master_seed=4)
+        assert (rd.strategy, rd.error, rd.seed) == ("rd", None, 14223588719410274469)
+        assert a2.strategy == "a2" and a2.error is not None
+        assert a2.seed == 752119716516089479
+
     def test_one_svd_per_trial(self, svd_calls):
         # the quality baseline and the a2 and a3 starts share one SVD of M
         cfg = TrialConfig("noisy_semi", 10, 14, 3, delta=5.0, max_iter=5, checkpoints=(5,))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from seminmf.cli import main, parse_suite_file, preset_configs
+from seminmf.exceptions import NumericalError
 from seminmf.linalg import random_gaussian, random_uniform
 from seminmf.matio import read_matrix, write_csv
 
@@ -164,17 +165,36 @@ class TestFactorize:
             assert int(it) == t
             assert float(err) >= 0.0 and float(qual) >= 0.0
 
-    # CD overflows on purpose here; the warnings precede the NumericalError
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @staticmethod
+    def _factorize(path, init, capsys):
+        assert main(["factorize", str(path), "--rank", "3", "--init", init]) == 0
+        out = dict(line.split("=") for line in capsys.readouterr().out.split())
+        return float(out["frob_error"]), float(out["quality"])
+
     @pytest.mark.parametrize("init", ["rd", "km", "a2", "a3"])
     @pytest.mark.parametrize("k", [-600, 600])
     def test_numerical_failure_at_extreme_scale_exits_3(self, tmp_path, capsys, init, k):
-        # CD cannot run on |M| ~ 2**600 or 2**-600: that is a numerical
-        # failure, not a usage error
+        # no numerical failure, and so no exit 3, at |M| ~ 2**600 or 2**-600:
+        # run_start works on M / pow2_scale(M), so the error scales by 2**k,
+        # the quality does not change and no RuntimeWarning is raised
+        M = random_gaussian(6, 9, seed=5)
+        unit, scaled = tmp_path / "unit.csv", tmp_path / "scaled.csv"
+        write_csv(unit, M)
+        write_csv(scaled, np.ldexp(M, k))
+        err, qual = self._factorize(unit, init, capsys)
+        err_k, qual_k = self._factorize(scaled, init, capsys)
+        assert np.ldexp(err_k, -k) == pytest.approx(err, rel=1e-12)
+        assert qual_k == pytest.approx(qual, rel=1e-12)
+
+    def test_numerical_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise NumericalError("non-finite residual")
+
+        monkeypatch.setattr("seminmf.bench.cd_semi_nmf", fail)
         p = tmp_path / "m.csv"
-        write_csv(p, np.ldexp(random_gaussian(6, 9, seed=5), k))
-        assert main(["factorize", str(p), "--rank", "3", "--init", init]) == 3
-        assert "numerical failure" in capsys.readouterr().err
+        write_csv(p, random_gaussian(6, 9, seed=5))
+        assert main(["factorize", str(p), "--rank", "3", "--init", "rd"]) == 3
+        assert "numerical failure: non-finite residual" in capsys.readouterr().err
 
     def test_a3_runs_one_svd(self, tmp_path, capsys, svd_calls):
         p = tmp_path / "m.csv"
@@ -288,8 +308,9 @@ class TestBench:
         [
             ("generator=noisy_semi m=abc n=10 r=2 delta=1", "m: expected integer, got 'abc'"),
             ("generator=semi_nonneg m=8 n=10 r=x", "r: expected integer, got 'x'"),
+            ("generator=nonnegative m=8 n=10 r=2 restarts=2", "unknown key 'restarts'"),
         ],
-        ids=["m", "inner_dim-default"],
+        ids=["m", "inner_dim-default", "restarts"],
     )
     def test_bad_field_reported_once(self, tmp_path, capsys, line, message):
         suite = tmp_path / "bad.cfg"
@@ -299,6 +320,10 @@ class TestBench:
 
     def test_needs_exactly_one_source(self, capsys):
         assert main(["bench", "--trials", "1"]) == 2
+        assert main(["bench", "--suite", "s.cfg", "--preset", "paper-desk", "--trials", "1"]) == 2
+        # an empty --suite is a suite path that does not exist, not a missing source
+        assert main(["bench", "--suite", "", "--trials", "1"]) == 2
+        assert "No such file" in capsys.readouterr().err
 
     def test_preset_shape(self):
         cfgs = preset_configs("paper-desk")
