@@ -24,9 +24,7 @@ import numpy as np
 
 from .exceptions import NumericalError
 from .initializers import STRATEGY_KINDS, InitStrategy, initialize
-from .linalg import (
-    Svd, as_matrix, best_rank_error, frob, least_squares_left, make_rng, pow2_scale, thin_svd,
-)
+from .linalg import Svd, as_matrix, best_rank_error, frob, least_squares_left, make_rng, thin_svd
 from .solver import cd_semi_nmf
 
 __all__ = [
@@ -212,7 +210,6 @@ class ExperimentRecord:
     wall_time: float = 0.0
     error: str | None = None
     error_trace: np.ndarray = field(default_factory=lambda: np.array([]))
-    best_error: float = math.nan
     frob_m: float = math.nan
 
 
@@ -229,21 +226,14 @@ def run_start(M, r: int, strategy: InitStrategy, max_iter: int, svd: Svd):
     Returns (Factorization, errors, epsilon_star): errors[0] is the
     start's error and errors[t] the error after t iterations;
     epsilon_star is the A3 shift, None for the other strategies.
-
-    The work is done on M / s, where s = ``pow2_scale(M)`` is a power of
-    two, so the iterates neither under- nor overflow at any scale of M;
-    the division is exact, and U and the errors are scaled back by s.
     """
-    s = pow2_scale(M)
-    M = M / s
-    svd = Svd(svd.U, svd.S / s, svd.Vt)
     init = initialize(M, r, strategy, svd)
     U0 = init.U0 if init.U0 is not None else least_squares_left(M, init.V0)
     init_err = frob(M - U0 @ init.V0)
     fact, trace = cd_semi_nmf(M, init.V0, max_iter)
-    errors = np.concatenate([[init_err], trace.errors]) * s
+    errors = np.concatenate([[init_err], trace.errors])
     eps = init.bisection.epsilon_star if init.bisection is not None else None
-    return dataclasses.replace(fact, U=fact.U * s, frob_error=fact.frob_error * s), errors, eps
+    return fact, errors, eps
 
 
 def _run_trial(cfg: TrialConfig, ci: int, ti: int, master_seed: int) -> list[ExperimentRecord]:
@@ -278,7 +268,7 @@ def _run_trial(cfg: TrialConfig, ci: int, ti: int, master_seed: int) -> list[Exp
             **row, strategy=strategy, seed=seed, epsilon_star=eps, wall_time=wall,
             quality_trace=qual, final_quality=float(qual[-1]),
             checkpoint_quality={c: float(qual[c]) for c in cfg.checkpoints},
-            error_trace=errors, best_error=best_err, frob_m=frob_m,
+            error_trace=errors, frob_m=frob_m,
         ))
     return records
 

@@ -46,7 +46,7 @@ from .exceptions import NumericalError
 from .factors import semi_rank
 from .halfspace import ZERO_TOL
 from .initializers import STRATEGY_KINDS, InitStrategy
-from .linalg import Svd, frob, pow2_scale, thin_svd
+from .linalg import frob, thin_svd
 from .matio import read_matrix, write_matrix
 
 USAGE_ERROR = 2
@@ -80,7 +80,6 @@ def _cmd_rank(args) -> int:
             "witness_z": None if cert.z is None else list(map(float, cert.z)),
             "margin": json_safe(cert.margin),
             "method": cert.method,
-            "pivots": cert.pivots,
             "support": None if cert.support is None else cert.support.tolist(),
             "weights": None if cert.weights is None else cert.weights.tolist(),
             "distance": cert.distance,
@@ -111,12 +110,9 @@ def _cmd_factorize(args) -> int:
     svd = thin_svd(M)
     fact, errors, eps = bench.run_start(M, args.rank, strat, args.maxiter, svd)
 
-    # the quality is a ratio of errors: take it on M / s, as run_start works,
-    # so that no squared singular value or norm under- or overflows
-    s = pow2_scale(M)
-    best = Svd(svd.U, svd.S / s, svd.Vt).tail_error(args.rank)
-    fm = frob(M / s)
-    qual = quality_from_error(fact.frob_error / s, best, fm)
+    best = svd.tail_error(args.rank)
+    fm = frob(M)
+    qual = quality_from_error(fact.frob_error, best, fm)
     if eps is not None:
         print(f"epsilon_star={eps:.6e}")
     print(f"frob_error={fact.frob_error:.17e}")
@@ -129,7 +125,7 @@ def _cmd_factorize(args) -> int:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write("iteration,frob_error,quality\n")
             for t, e in enumerate(map(float, errors)):
-                fh.write(f"{t},{e!r},{quality_from_error(e / s, best, fm)!r}\n")
+                fh.write(f"{t},{e!r},{quality_from_error(e, best, fm)!r}\n")
     return 0
 
 

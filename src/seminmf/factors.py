@@ -51,7 +51,6 @@ __all__ = [
 # numerical-rank cutoff: sigma_i <= max(m, n) * sigma_1 * RANK_RTOL is zero
 RANK_RTOL = 1e-10
 CLAMP_TOL = 1e-12  # relative size of negative V dust that is clamped, not rejected
-X_FLOOR = 1e-12  # floor on x entries before dividing in the alpha step
 
 
 @dataclass(frozen=True)
@@ -153,8 +152,7 @@ def exact_semi_nmf_same_rank(A, B, y) -> Factorization:
 
     alpha = np.zeros(r)
     if keep.any():
-        xk = np.maximum(x[keep], X_FLOOR)
-        alpha = np.maximum(0.0, (-B[:, keep] / xk).max(axis=1))
+        alpha = np.maximum(0.0, (-B[:, keep] / x[keep]).max(axis=1))
     ya = float(y @ alpha)
     if abs(1.0 + ya) < 0.5:
         # near the Sherman-Morrison pole: c = 2 / |y.alpha| (see above)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .factors import X_FLOOR, exact_semi_nmf_same_rank, lift_rank_plus_one, sign_flip
+from .factors import exact_semi_nmf_same_rank, lift_rank_plus_one, sign_flip
 from .halfspace import BisectionResult, bisection_epsilon
 from .kmeans import kmeans
 from .linalg import Svd, as_matrix, least_squares_left, random_uniform, thin_svd
@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 STRATEGY_KINDS = ("rd", "km", "a2", "a3")
+X_FLOOR = 1e-12  # floor on the A3 start's x entries before dividing in the alpha step
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,10 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def frob(m: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(m))
+    """Frobenius norm, taken on m / ``pow2_scale(m)`` so no square under- or
+    overflows; the division and the multiplication back are exact."""
+    s = pow2_scale(m)
+    return float(np.linalg.norm(m / s)) * s
 
 
 def pow2_scale(m: np.ndarray) -> float:
@@ -96,10 +98,11 @@ class Svd:
         return self.U[:, :k] * self.S[:k], self.Vt[:k]
 
     def tail_error(self, k: int) -> float:
-        """Frobenius error of the best rank-k approximation: sqrt(sum of tail sigma^2)."""
-        if k >= self.S.size:
-            return 0.0
-        return float(np.sqrt(np.sum(self.S[k:] ** 2)))
+        """Frobenius error of the best rank-k approximation: sqrt(sum of tail sigma^2),
+        taken on the tail over its ``pow2_scale``, as ``frob`` does."""
+        tail = self.S[k:]
+        s = pow2_scale(tail)
+        return float(np.sqrt(np.sum((tail / s) ** 2))) * s
 
 
 def thin_svd(M) -> Svd:

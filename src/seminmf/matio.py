@@ -90,8 +90,10 @@ def read_mm(path) -> np.ndarray:
     size = tokens[0].split()
     body = tokens[1:]
     try:
+        m, n = int(size[0]), int(size[1])
+        if symmetry == "symmetric" and m != n:
+            raise ValueError(f"a symmetric matrix must be square, got {m}x{n}")
         if fmt == "array":
-            m, n = int(size[0]), int(size[1])
             vals = [float(t.split()[0]) for t in body]
             if len(vals) != (m * n if symmetry == "general" else m * (m + 1) // 2):
                 raise ValueError("entry count does not match dimensions")
@@ -106,7 +108,7 @@ def read_mm(path) -> np.ndarray:
                         M[i, j] = v
                         M[j, i] = v
         else:
-            m, n, nnz = int(size[0]), int(size[1]), int(size[2])
+            nnz = int(size[2])
             if len(body) != nnz:
                 raise ValueError(f"expected {nnz} entries, found {len(body)}")
             M = np.zeros((m, n))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .exceptions import NumericalError
 from .factors import make_factorization
-from .linalg import as_matrix, least_squares_left, thin_svd
+from .linalg import as_matrix, least_squares_left, pow2_scale, thin_svd
 
 __all__ = ["SolveTrace", "cd_semi_nmf"]
 
@@ -85,7 +85,11 @@ def cd_semi_nmf(M, V0, max_iter: int):
     -------
     (Factorization, SolveTrace)
 
-    Raises NumericalError when a residual norm is NaN or Inf.
+    The sweep runs on M / s, where s = ``pow2_scale(M)`` is a power of
+    two, so the iterates neither under- nor overflow at any scale of M;
+    the division is exact, and U, the errors and the ``u_norms`` are
+    scaled back by s.  Raises NumericalError when a residual norm is NaN
+    or Inf.
     """
     M = as_matrix(M, "M")
     V = as_matrix(V0, "V0").copy()
@@ -99,22 +103,24 @@ def cd_semi_nmf(M, V0, max_iter: int):
     # and get re-seeded to the residual's leading direction
 
     start = time.perf_counter()
+    s = pow2_scale(M)
+    X = M / s
     errors, u_norms = [], []
     lstsq_s = sweep_s = error_s = 0.0
     U = None
     for _ in range(max_iter):
         t0 = time.perf_counter()
-        U = least_squares_left(M, V)
+        U = least_squares_left(X, V)
         t1 = time.perf_counter()
-        G = _reseed_zero_rows(M, U, V)
-        P = U.T @ M
+        G = _reseed_zero_rows(X, U, V)
+        P = U.T @ X
         norms2 = np.diag(G)
         active = np.flatnonzero(norms2 >= DEGENERATE_RTOL * norms2.sum())
         for i in active:
             V[i] = np.maximum(0.0, V[i] + (P[i] - G[i] @ V) / G[i, i])
         u_norms.append(math.sqrt(norms2.sum()))
         t2 = time.perf_counter()
-        errors.append(float(np.linalg.norm(M - U @ V)))
+        errors.append(float(np.linalg.norm(X - U @ V)))
         t3 = time.perf_counter()
         lstsq_s += t1 - t0
         sweep_s += t2 - t1
@@ -123,12 +129,12 @@ def cd_semi_nmf(M, V0, max_iter: int):
             raise NumericalError(f"residual norm {errors[-1]} at CD iteration {len(errors)}")
 
     trace = SolveTrace(
-        errors=np.array(errors),
-        u_norms=np.array(u_norms),
+        errors=np.array(errors) * s,
+        u_norms=np.array(u_norms) * s,
         iterations_run=len(errors),
         wall_time=time.perf_counter() - start,
         lstsq_s=lstsq_s,
         sweep_s=sweep_s,
         error_s=error_s,
     )
-    return make_factorization(M, U, V), trace
+    return make_factorization(M, U * s, V), trace

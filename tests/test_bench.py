@@ -16,7 +16,7 @@ from seminmf.bench import (
 )
 from seminmf.factors import semi_rank
 from seminmf.halfspace import halfspace_feasible
-from seminmf.linalg import best_rank_error, random_gaussian, thin_svd
+from seminmf.linalg import best_rank_error, random_gaussian, random_uniform, thin_svd
 from seminmf.solver import cd_semi_nmf
 
 from oracles import oracle_halfplane_2d, oracle_rank1_grid
@@ -26,6 +26,15 @@ class TestQuality:
     def test_best_rank_r_gives_zero(self):
         M = random_gaussian(8, 10, seed=0)
         assert quality(M, *thin_svd(M).pair(3), 3) == pytest.approx(0.0, abs=1e-6)
+
+    @pytest.mark.parametrize("k", [-600, 600])
+    def test_power_of_two_scale(self, k):
+        M = random_gaussian(20, 30, seed=0)
+        fact, _ = cd_semi_nmf(M, random_uniform(4, 30, seed=1), 10)
+        base = quality(M, fact.U, fact.V, 4)
+        assert base > 1.0
+        scaled = quality(np.ldexp(M, k), np.ldexp(fact.U, k), fact.V, 4)
+        assert scaled == pytest.approx(base, rel=1e-12)
 
     def test_double_error_gives_hundred(self):
         assert quality_from_error(2.0, 1.0, 10.0) == pytest.approx(100.0)

@@ -71,8 +71,6 @@ class TestRank:
         assert main(["rank", str(p), "--json", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert (payload["feasible"], payload["method"]) == (feasible, method)
-        assert isinstance(payload["pivots"], int)
-        assert (payload["pivots"] > 0) == (method == "lp")
         assert "method" not in capsys.readouterr().out
 
     def test_json_reports_the_gordan_certificate(self, fixture_file, tmp_path, capsys):
@@ -175,8 +173,9 @@ class TestFactorize:
     @pytest.mark.parametrize("k", [-600, 600])
     def test_numerical_failure_at_extreme_scale_exits_3(self, tmp_path, capsys, init, k):
         # no numerical failure, and so no exit 3, at |M| ~ 2**600 or 2**-600:
-        # run_start works on M / pow2_scale(M), so the error scales by 2**k,
-        # the quality does not change and no RuntimeWarning is raised
+        # the solve and the norms work on M / pow2_scale(M), so the error
+        # scales by 2**k, the quality does not change and no RuntimeWarning
+        # is raised
         M = random_gaussian(6, 9, seed=5)
         unit, scaled = tmp_path / "unit.csv", tmp_path / "scaled.csv"
         write_csv(unit, M)

@@ -132,6 +132,14 @@ class TestExactSameRank:
             alpha_parts = np.maximum(0.0, (-B / np.maximum(B.T @ cert.z, 1e-12)).max(axis=1))
             assert float(cert.z @ alpha_parts) > -1.0 + 1e-9
 
+    def test_witness_with_tiny_x_is_exact(self):
+        # x = B'y = (3 - 1e-13, 1e-13): alpha divides by x_2 itself, so the
+        # -1 entry clears exactly and no V entry is clamped as dust
+        A, B = np.eye(2), np.array([[1.0, -1.0], [1.0, 2.0]])
+        fact = exact_semi_nmf_same_rank(A, B, np.array([2.0 - 1e-13, 1.0]))
+        assert fact.clamped == 0.0
+        assert fact.frob_error == 0.0
+
     def test_requires_positive_row_max(self):
         A = np.eye(2)
         B = np.array([[-1.0, -2.0], [1.0, 2.0]])

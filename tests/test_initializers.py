@@ -65,6 +65,15 @@ class TestA2:
         err = np.linalg.norm(M - U0 @ V0)
         assert err == pytest.approx(best_rank_error(M, 4), rel=1e-8)
 
+    @pytest.mark.parametrize("k", [-600, 600])
+    def test_power_of_two_scale(self, k):
+        # the start's error is the rank-3 tail, scaled by 2**k
+        M = random_gaussian(20, 30, seed=0)
+        U0, V0 = init_a2(np.ldexp(M, k), 4)
+        assert V0.min() >= 0.0
+        err = np.linalg.norm(M - np.ldexp(U0, -k) @ V0)
+        assert err == pytest.approx(best_rank_error(M, 3), rel=1e-12, abs=0.0)
+
     def test_v0_nonnegative(self):
         for seed in range(5):
             M = random_gaussian(10, 13, seed=seed)

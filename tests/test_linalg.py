@@ -96,6 +96,13 @@ class TestBestRankError:
     def test_diagonal(self):
         assert best_rank_error(np.diag([3.0, 2.0, 1.0]), 1) == pytest.approx(np.sqrt(5.0))
 
+    @pytest.mark.parametrize("k", [-600, 600])
+    def test_power_of_two_scale(self, k):
+        # sigma^2 under- or overflows at 2**-600 and 2**600; the tail does not
+        M = random_gaussian(20, 30, seed=0)
+        scaled = best_rank_error(np.ldexp(M, k), 4)
+        assert scaled == pytest.approx(np.ldexp(best_rank_error(M, 4), k), rel=1e-12, abs=0.0)
+
 
 class TestLeastSquaresLeft:
     def test_identity(self):

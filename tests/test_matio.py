@@ -78,6 +78,19 @@ class TestMatrixMarket:
         M = read_mm(p)
         np.testing.assert_array_equal(M, [[1.0, 3.0], [3.0, 0.0]])
 
+    def test_symmetric_array(self, tmp_path):
+        # the lower triangle, column by column
+        p = tmp_path / "s.mtx"
+        p.write_text("%%MatrixMarket matrix array real symmetric\n3 3\n1\n2\n3\n4\n5\n6\n")
+        np.testing.assert_array_equal(read_mm(p), [[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]])
+
+    @pytest.mark.parametrize("fmt, body", [("array", "2 3\n1\n2\n3\n"), ("coordinate", "3 2 1\n2 1 1.0\n")])
+    def test_symmetric_must_be_square(self, tmp_path, fmt, body):
+        p = tmp_path / "s.mtx"
+        p.write_text(f"%%MatrixMarket matrix {fmt} real symmetric\n{body}")
+        with pytest.raises(ValueError, match="must be square"):
+            read_mm(p)
+
     def test_integer_array(self, tmp_path):
         p = tmp_path / "i.mtx"
         p.write_text("%%MatrixMarket matrix array integer general\n2 2\n1\n2\n3\n4\n")

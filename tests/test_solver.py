@@ -24,6 +24,20 @@ def monotone_slack(errors, M):
 
 
 class TestCdSemiNmf:
+    @pytest.mark.parametrize("k", [-600, 600])
+    def test_power_of_two_scale(self, k):
+        # the sweep runs on M / pow2_scale(M): V is the unit-scale V bit for
+        # bit, and U, the errors and ||U|| scale by exactly 2**k
+        M = random_gaussian(20, 30, seed=0)
+        V0 = random_uniform(4, 30, seed=1)
+        base, base_trace = cd_semi_nmf(M, V0, 20)
+        fact, trace = cd_semi_nmf(np.ldexp(M, k), V0, 20)
+        assert np.array_equal(fact.V, base.V)
+        assert np.array_equal(fact.U, np.ldexp(base.U, k))
+        assert np.array_equal(trace.errors, np.ldexp(base_trace.errors, k))
+        assert np.array_equal(trace.u_norms, np.ldexp(base_trace.u_norms, k))
+        assert fact.frob_error == np.ldexp(base.frob_error, k)
+
     def test_exact_start_stays_exact(self):
         U = random_gaussian(6, 3, seed=1)
         V = random_uniform(3, 9, seed=2) + 0.01
