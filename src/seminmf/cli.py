@@ -80,6 +80,7 @@ def _cmd_rank(args) -> int:
             "witness_z": None if cert.z is None else list(map(float, cert.z)),
             "margin": json_safe(cert.margin),
             "method": cert.method,
+            "passes": cert.passes,
             "support": None if cert.support is None else cert.support.tolist(),
             "weights": None if cert.weights is None else cert.weights.tolist(),
             "distance": cert.distance,

@@ -19,7 +19,10 @@ Least Squares Problems*, ch. 23): nonnegative least squares on r + 1
 rows finds the point of the convex hull of the normalized columns
 nearest the origin.  That point is a max-margin witness when it verifies,
 and otherwise its weights are a Gordan certificate of infeasibility.
-The bisection keeps ``lp_feasibility``.
+The NNLS solver keeps its passive columns as a thin QR with R^-1: a
+column that enters is appended by one Gram-Schmidt step (ch. 24), and
+only a dropped column, which is rare, rebuilds the factors.  The
+bisection keeps ``lp_feasibility``.
 
 Every witness passes one rule (``_verified_witness``): a direction y is
 accepted only when  min_j (c_j / ||c_j||).y > ZERO_TOL * ||y||,  and the
@@ -35,7 +38,7 @@ endpoint is always feasible.  It halves the bracket a fixed
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,7 +70,8 @@ class HalfspaceCertificate:
     nonzero column was tested).  When infeasible, ``z`` and ``margin``
     are None: no witness exists up to the deciding branch's tolerance.
     ``pivots`` counts the simplex pivots spent on the test (0
-    when no LP was solved).  ``method`` names the branch that decided:
+    when no LP was solved), and ``passes`` the NNLS passes (0 unless
+    ``method`` is ``"nnls"``).  ``method`` names the branch that decided:
     ``"e1"`` or ``"centroid"`` (closed form), ``"nnls"`` (least
     distance), ``"lp"`` (simplex), or ``"vacuous"`` (no column to test).
 
@@ -82,6 +86,7 @@ class HalfspaceCertificate:
     z: np.ndarray | None = None
     margin: float | None = None
     pivots: int = 0
+    passes: int = 0
     method: str = "lp"
     support: np.ndarray | None = None
     weights: np.ndarray | None = None
@@ -207,26 +212,61 @@ def closed_form_certificate(columns) -> HalfspaceCertificate | None:
     return None
 
 
-def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
+def _append_column(Q, Rinv, qtf, k, a, f) -> float:
+    """Border the thin QR of the first k passive columns with column a.
+
+    One Gram-Schmidt step against Q[:, :k], with one reorthogonalization,
+    gives a = Q h + rho q.  Writes q to Q[:, k], the new column
+    [-R^-1 h; 1] / rho of R^-1 to Rinv[:k + 1, k] and q.f to qtf[k], and
+    returns rho, the new diagonal entry of R.  Slot k is only read once
+    the caller takes the column, so a column passed over costs nothing
+    to undo.
+    """
+    Qk = Q[:, :k]
+    h = Qk.T @ a
+    v = a - Qk @ h
+    g = Qk.T @ v
+    v -= Qk @ g
+    h += g
+    rho = float(np.linalg.norm(v))
+    if rho > 0.0:  # rho = 0 when a repeats a passive column
+        Q[:, k] = v / rho
+        Rinv[:k, k] = -(Rinv[:k, :k] @ h) / rho
+        Rinv[k, k] = 1.0 / rho
+        qtf[k] = Q[:, k] @ f
+    return rho
+
+
+def _nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, int]:
     """argmin ||E x - f|| over x >= 0, by Lawson and Hanson's active set method.
 
     Each pass either lets in the column of largest positive gradient
     entry or, when the passive-set least-squares solution has a
     nonpositive weight, steps toward it until the first weight reaches
-    zero and drops that column.  Every solve is a thin QR and a
-    triangular solve.  A column that would enter numerically dependent
-    on the passive ones (|R_kk| <= ZERO_TOL, the columns of E having
-    norm sqrt(2)), or with a nonpositive weight, is passed over until
-    the iterate moves.  Raises ``NumericalError`` after ``NNLS_MAX_ITER``
-    passes per column.
+    zero and drops that column.  The passive columns are kept as a thin
+    QR with R^-1 (Lawson and Hanson, ch. 24; Bjorck, section 2.7): an
+    entering column is appended by one Gram-Schmidt step against Q,
+    bordering R^-1 and Q^T f, and the weights are R^-1 Q^T f, with no
+    factorization and no solve; a drop, which is rare, rebuilds the
+    factors by appending the remaining passive columns in order of
+    entry.  A column that would enter numerically dependent on the
+    passive ones (new diagonal |R_kk| <= ZERO_TOL, the columns of E
+    having norm sqrt(2)), or with a nonpositive weight, is passed over
+    until the iterate moves.  Returns x and the number of passes run,
+    counting the last.  Raises ``NumericalError`` after
+    ``NNLS_MAX_ITER`` passes per column.
     """
-    p = E.shape[1]
+    n, p = E.shape
     x = np.zeros(p)
     w = E.T @ f
     passive: list[int] = []  # in order of entry, so the entering column is last in R
     passed_over = np.zeros(p, dtype=bool)
+    # thin QR of E[:, passive] in the leading len(passive) slots; at most
+    # min(n, p) columns can be independent
+    d = min(n, p)
+    Q, Rinv, qtf = np.zeros((n, d)), np.zeros((d, d)), np.zeros(d)
     s = None  # passive-set solution not yet taken as the iterate
-    for _ in range(NNLS_MAX_ITER * p):
+    for passes in range(1, NNLS_MAX_ITER * p + 1):
         if s is not None and (s <= 0.0).any():
             xp = x[passive]
             neg = np.flatnonzero(s <= 0.0)
@@ -236,8 +276,10 @@ def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
             xp[neg[k]] = 0.0
             x[passive] = np.maximum(xp, 0.0)
             passive = [j for j in passive if x[j] > 0.0]
-            Q, R = np.linalg.qr(E[:, passive])
-            s = np.linalg.solve(R, Q.T @ f)
+            for i, j in enumerate(passive):
+                _append_column(Q, Rinv, qtf, i, E[:, j], f)
+            k = len(passive)
+            s = Rinv[:k, :k] @ qtf[:k]
             continue
         if s is not None:
             x[:] = 0.0
@@ -248,9 +290,11 @@ def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
         gain[passive] = -np.inf
         t = int(np.argmax(gain))
         if not gain[t] > ZERO_TOL:
-            return x
-        Q, R = np.linalg.qr(E[:, passive + [t]])
-        s = np.linalg.solve(R, Q.T @ f) if abs(R[-1, -1]) > ZERO_TOL else None
+            return x, passes
+        k = len(passive)
+        # k = d = n passive columns span the space, so t is dependent
+        if k < d and _append_column(Q, Rinv, qtf, k, E[:, t], f) > ZERO_TOL:
+            s = Rinv[: k + 1, : k + 1] @ qtf[: k + 1]
         if s is None or not s[-1] > 0.0:
             passed_over[t] = True
             s = None
@@ -290,17 +334,18 @@ def nnls_certificate(columns) -> HalfspaceCertificate:
     if p == 0:
         return _vacuous(m)
     C, Cn, s = _normalized(C)
-    mu = _nnls(np.vstack([Cn, np.ones((1, p))]), np.eye(m + 1)[m])
+    mu, passes = _nnls(np.vstack([Cn, np.ones((1, p))]), np.eye(m + 1)[m])
     support = np.flatnonzero(mu)
     g = mu[support] / mu[support].sum()
     y = Cn[:, support] @ g
-    return _verified_witness(C, Cn, s, y, "nnls") or HalfspaceCertificate(
+    cert = _verified_witness(C, Cn, s, y, "nnls") or HalfspaceCertificate(
         feasible=False,
         method="nnls",
         support=support,
         weights=g,
         distance=float(np.linalg.norm(y)),
     )
+    return replace(cert, passes=passes)
 
 
 def nonzero_columns(M: np.ndarray) -> np.ndarray:

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 
+from seminmf.exceptions import NumericalError
+from seminmf.halfspace import NNLS_MAX_ITER, ZERO_TOL
 from seminmf.linalg import as_matrix
 from seminmf.solver import DEGENERATE_RTOL
 
@@ -79,3 +81,56 @@ def residual_row_update(M, U, V, i: int) -> np.ndarray:
         raise ValueError(f"column {i} of U is numerically zero")
     Ri = M - U @ V + np.outer(u, V[i])
     return np.maximum(0.0, (Ri.T @ u) / nu2)
+
+
+def oracle_nnls(E: np.ndarray, f: np.ndarray):
+    """argmin ||E x - f|| over x >= 0, refactoring on every pass.
+
+    Lawson and Hanson's active set method with the pass rules of
+    ``seminmf.halfspace._nnls`` (entering column, passed-over columns,
+    the ZERO_TOL dependence test on |R_kk|, the drop step, the pass
+    cap), but every solve is a fresh thin QR of the passive columns and
+    an LU solve of R: the reference for the updated factorization.
+    Returns (x, passes, drops): the loop passes run, counting the last,
+    and how many of them dropped a column.
+    """
+    p = E.shape[1]
+    x = np.zeros(p)
+    w = E.T @ f
+    passive: list[int] = []  # in order of entry, so the entering column is last in R
+    passed_over = np.zeros(p, dtype=bool)
+    s = None  # passive-set solution not yet taken as the iterate
+    drops = 0
+    for passes in range(1, NNLS_MAX_ITER * p + 1):
+        if s is not None and (s <= 0.0).any():
+            xp = x[passive]
+            neg = np.flatnonzero(s <= 0.0)
+            ratios = xp[neg] / (xp[neg] - s[neg])
+            k = int(np.argmin(ratios))
+            xp += ratios[k] * (s - xp)
+            xp[neg[k]] = 0.0
+            x[passive] = np.maximum(xp, 0.0)
+            passive = [j for j in passive if x[j] > 0.0]
+            Q, R = np.linalg.qr(E[:, passive])
+            s = np.linalg.solve(R, Q.T @ f)
+            drops += 1
+            continue
+        if s is not None:
+            x[:] = 0.0
+            x[passive] = s
+            w = E.T @ (f - E @ x)
+            s = None
+        gain = np.where(passed_over, -np.inf, w)
+        gain[passive] = -np.inf
+        t = int(np.argmax(gain))
+        if not gain[t] > ZERO_TOL:
+            return x, passes, drops
+        Q, R = np.linalg.qr(E[:, passive + [t]])
+        s = np.linalg.solve(R, Q.T @ f) if abs(R[-1, -1]) > ZERO_TOL else None
+        if s is None or not s[-1] > 0.0:
+            passed_over[t] = True
+            s = None
+            continue
+        passive.append(t)
+        passed_over[:] = False
+    raise NumericalError(f"NNLS iteration limit exceeded ({NNLS_MAX_ITER * p} passes, {p} columns)")

@@ -71,6 +71,8 @@ class TestRank:
         assert main(["rank", str(p), "--json", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert (payload["feasible"], payload["method"]) == (feasible, method)
+        # the NNLS passes of TIGHT_2x3, 0 when the closed form decides
+        assert payload["passes"] == (4 if method == "nnls" else 0)
         assert "method" not in capsys.readouterr().out
 
     def test_json_reports_the_gordan_certificate(self, fixture_file, tmp_path, capsys):

@@ -23,6 +23,8 @@ from seminmf.initializers import init_a3
 from seminmf.linalg import random_gaussian, thin_svd
 from seminmf.simplex import SimplexResult
 
+from oracles import oracle_nnls
+
 TIGHT_2x3 = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])  # spans the whole plane
 BOUNDARY_2x3 = np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])  # two antipodal columns
 
@@ -205,9 +207,10 @@ class TestClosedForm:
                 cert = closed_form_certificate(C)
                 lp = lp_feasibility(C)
                 methods[cert.method if cert else None] += 1
+                assert lp.passes == 0
                 if cert is not None:
                     assert lp.feasible
-                    assert cert.feasible and cert.pivots == 0
+                    assert cert.feasible and cert.pivots == cert.passes == 0
                     # the witness, checked without the solver
                     assert np.min(C.T @ cert.z) >= 1.0 - 1e-9
                     assert cert.margin == pytest.approx(1.0, abs=1e-9)
@@ -243,13 +246,20 @@ class TestClosedForm:
             bisection_epsilon(np.ldexp(TIGHT_2x3, -1066))
 
 
-def exact_rank_columns(right):
-    """The nonzero columns of a sign-flipped rank-80 right factor of a
-    seeded 200x400 product with a Gaussian or uniform right factor."""
-    rng = np.random.default_rng(2026)
+def exact_rank_columns(right, seed=2026):
+    """The nonzero columns of a seeded 200x400 product with a Gaussian or
+    uniform rank-80 right factor, and of its sign-flipped SVD right factor."""
+    rng = np.random.default_rng(seed)
     A = rng.standard_normal((200, 80))
     B = rng.standard_normal((80, 400)) if right == "gaussian" else rng.random((80, 400))
     yield from columns_of(A @ B)
+
+
+def least_distance_problem(C):
+    """(E, f) of nnls_certificate's NNLS on the columns C."""
+    Cn = C / np.linalg.norm(C, axis=0)
+    E = np.vstack([Cn, np.ones((1, C.shape[1]))])
+    return E, np.eye(E.shape[0])[-1]
 
 
 class TestNnlsCertificate:
@@ -309,16 +319,47 @@ class TestNnlsCertificate:
             assert cert.distance == pytest.approx(lift, rel=1e-3, abs=1e-15)
         assert (closed_form_certificate(C) or cert).feasible == (lift > ZERO_TOL)
 
+    def test_pass_counts_are_pinned(self):
+        # counted with the refactor-every-pass solver (tests/oracles.py):
+        # updating the factorization leaves the pass sequence where it was
+        assert [nnls_certificate(C).passes for C in exact_rank_columns("gaussian")] == [82, 82]
+        assert nnls_certificate(TIGHT_2x3).passes == 4
+
+    def test_matches_the_refactoring_oracle(self):
+        # the Gaussian product of seed 2022 drops a column twice on its right factor
+        drop_case = list(exact_rank_columns("gaussian", seed=2022))[1]
+        assert oracle_nnls(*least_distance_problem(drop_case))[2] == 2
+        cases = [C for M in agreement_inputs() for C in columns_of(M)]
+        cases += [C for right in ("gaussian", "uniform") for C in exact_rank_columns(right)]
+        ties, drops = 0, 0
+        for C in cases + [drop_case]:
+            E, f = least_distance_problem(C)
+            x, passes = _nnls(E, f)
+            x_ref, passes_ref, drops_ref = oracle_nnls(E, f)
+            drops += drops_ref > 0
+            assert passes == passes_ref
+            # the nearest point E x of the cone is unique, the weights only without ties
+            assert np.linalg.norm(E @ (x - x_ref)) <= 1e-12
+            support, support_ref = np.flatnonzero(x), np.flatnonzero(x_ref)
+            if np.array_equal(support, support_ref):
+                assert np.abs(x - x_ref).max() <= 1e-12
+                continue
+            # a tie: each column taken in place of the oracle's equals it to rounding
+            ties += 1
+            new, old = np.setdiff1d(support, support_ref), np.setdiff1d(support_ref, support)
+            gaps = np.linalg.norm(E[:, new, None] - E[:, None, old], axis=0)
+            assert new.size == old.size and (gaps.min(axis=1) <= 1e-12).all()
+        # agreement input 114 (a 40%-sparse Gaussian) has duplicate unit columns
+        assert ties <= 1 and drops >= 100
+
     def test_residual_matches_scipy(self):
         nnls = pytest.importorskip("scipy.optimize").nnls
         checked = 0
         for M in list(agreement_inputs())[:60]:
             for C in columns_of(M):
-                Cn = C / np.linalg.norm(C, axis=0)
-                E = np.vstack([Cn, np.ones((1, C.shape[1]))])
-                f = np.eye(E.shape[0])[-1]
+                E, f = least_distance_problem(C)
                 _, rnorm = nnls(E, f)
-                assert np.linalg.norm(E @ _nnls(E, f) - f) == pytest.approx(rnorm, abs=1e-12)
+                assert np.linalg.norm(E @ _nnls(E, f)[0] - f) == pytest.approx(rnorm, abs=1e-12)
                 checked += 1
         assert checked == 120
 
@@ -355,7 +396,7 @@ class TestNnlsCertificate:
 
     def test_empty_input_is_vacuous(self):
         cert = nnls_certificate(np.zeros((3, 0)))
-        assert cert.feasible and cert.method == "vacuous"
+        assert cert.feasible and cert.method == "vacuous" and cert.passes == 0
 
 
 class TestBisection:
