@@ -14,8 +14,6 @@ bench
     quality quantiles.
 
 Exit codes: 0 success, 2 usage or input error, 3 numerical failure.
-The SEMINMF_SEED environment variable supplies the default --seed of
-factorize and bench.
 
 Suite files are flat text: one config per line of ``key=value`` tokens,
 ``#`` comments allowed.  Keys: generator (nonnegative | semi_nonneg |
@@ -29,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import __version__, bench
@@ -44,7 +41,6 @@ from .bench import (
 )
 from .exceptions import NumericalError
 from .factors import semi_rank
-from .halfspace import ZERO_TOL
 from .initializers import STRATEGY_KINDS, InitStrategy
 from .linalg import frob, thin_svd
 from .matio import read_matrix, write_matrix
@@ -59,7 +55,7 @@ NUMERICAL_ERROR = 3
 
 def _cmd_rank(args) -> int:
     M = read_matrix(args.input)
-    report = semi_rank(M, zero_tol=args.zero_tol)
+    report = semi_rank(M)
     cert = report.certificate
     print(
         f"rank={report.rank} semi_rank={report.semi_rank} "
@@ -97,16 +93,7 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_factorize(args) -> int:
-    if args.maxiter < 1:
-        raise UsageError("--maxiter must be >= 1")
-    if args.rank < 1:
-        raise UsageError("--rank must be >= 1")
-    if args.init == "a2" and args.rank < 2:
-        raise UsageError("--init a2 needs --rank >= 2: it lifts a rank r-1 factorization")
     M = read_matrix(args.input)
-    if args.rank > min(M.shape):
-        raise UsageError(f"--rank {args.rank} exceeds min(matrix dimensions) {min(M.shape)}")
-
     strat = InitStrategy(kind=args.init, seed=args.seed)
     svd = thin_svd(M)
     fact, errors, eps = bench.run_start(M, args.rank, strat, args.maxiter, svd)
@@ -256,14 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="seminmf", description=__doc__.split("\n")[0])
     p.add_argument("--version", action="version", version=f"seminmf {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-    # a string default goes through type=int, and only when the subcommand
-    # defines --seed: a bad value is a usage error (exit 2) there alone
-    env_seed = os.environ.get("SEMINMF_SEED", "0")
 
     pr = sub.add_parser("rank", help="rank / semi-nonnegative rank report")
     pr.add_argument("input", help="matrix file (CSV or MatrixMarket)")
-    pr.add_argument("--zero-tol", type=float, default=ZERO_TOL,
-                    help="relative cutoff for treating columns as zero")
     pr.add_argument("--out-u", help="write the exact left factor here")
     pr.add_argument("--out-v", help="write the exact right factor here")
     pr.add_argument("--json", help="write a JSON report here")
@@ -274,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--rank", "-r", type=int, required=True)
     pf.add_argument("--init", choices=STRATEGY_KINDS, default="a3")
     pf.add_argument("--maxiter", type=int, default=100)
-    pf.add_argument("--seed", type=int, default=env_seed)
+    pf.add_argument("--seed", type=int, default=0)
     pf.add_argument("--out-u")
     pf.add_argument("--out-v")
     pf.add_argument("--trace", help="write per-iteration errors as CSV")
@@ -285,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--suite", help="suite config file (see module docstring)")
     src.add_argument("--preset", choices=sorted(PRESETS))
     pb.add_argument("--trials", type=int, default=50)
-    pb.add_argument("--seed", type=int, default=env_seed)
+    pb.add_argument("--seed", type=int, default=0)
     pb.add_argument("--out", help="CSV output path (stdout when omitted)")
     pb.add_argument("--summary", help="JSON summary output path")
     pb.add_argument("--jobs", type=int, default=1)

@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .halfspace import (
-    ZERO_TOL,
     HalfspaceCertificate,
     _vacuous,
     closed_form_certificate,
@@ -176,19 +175,17 @@ class SemiRankReport:
     factorization: Factorization
 
 
-def semi_rank(M, zero_tol: float = ZERO_TOL) -> SemiRankReport:
+def semi_rank(M) -> SemiRankReport:
     """Semi-nonnegative rank of M with an exact witnessing factorization.
 
     The rank is the numerical rank from the SVD.  The certificate tests
-    the rank-revealing right factor restricted to the nonzero columns of
-    M, first in closed form (``closed_form_certificate``) and by NNLS
+    the nonzero columns of the rank-revealing right factor B, those kept
+    by ``nonzero_columns(B)`` (the same rule as the A3 bisection), first
+    in closed form (``closed_form_certificate``) and by NNLS
     (``nnls_certificate``) only when that leaves the question open; when
     it is feasible the factorization keeps the same inner dimension,
-    otherwise the lift adds one, and the certificate's ``support``
-    indexes columns of M.
-
-    Columns with 2-norm at most ``zero_tol * max|M|`` count as zero;
-    ``zero_tol`` must lie in [0, 1), so the column holding max|M| stays.
+    otherwise the lift adds one.  Either way the other columns of V are
+    exactly zero, and the certificate's ``support`` indexes columns of M.
 
     The work is done on M / s, where s = ``pow2_scale(M)`` is a power of
     two.  The division is exact, so the rank, the certificate and V do
@@ -196,8 +193,6 @@ def semi_rank(M, zero_tol: float = ZERO_TOL) -> SemiRankReport:
     overflow; U and the error are scaled back by s.
     """
     M = as_matrix(M, "M")
-    if not 0.0 <= zero_tol < 1.0:
-        raise ValueError(f"zero_tol must lie in [0, 1), got {zero_tol!r}")
     m, n = M.shape
     s = pow2_scale(M)
     M = M / s
@@ -211,10 +206,8 @@ def semi_rank(M, zero_tol: float = ZERO_TOL) -> SemiRankReport:
         return SemiRankReport(rank=0, semi_rank=0, certificate=_vacuous(0), factorization=fact)
 
     A, B = svd.pair(r)
-    scale = float(np.max(np.abs(M)))
-    keep = np.linalg.norm(M, axis=0) > zero_tol * scale
-    keep &= np.linalg.norm(B, axis=0) > 0.0
-    # zeroed first, a dropped column cannot decide the sign of a row
+    keep = nonzero_columns(B)
+    # zeroed, the dropped columns lift to exactly-zero columns of V
     A, B = sign_flip(A, np.where(keep, B, 0.0))
     C = B[:, keep]
     cert = closed_form_certificate(C) or nnls_certificate(C)

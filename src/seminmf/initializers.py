@@ -128,7 +128,13 @@ def init_a3(M, r: int):
 
 
 def initialize(M, r: int, strategy: InitStrategy, svd: Svd) -> InitResult:
-    """Dispatch on strategy kind; a2 and a3 start from ``svd``, the thin SVD of M."""
+    """Dispatch on strategy kind; a2 and a3 start from ``svd``, the thin SVD of M.
+
+    Every kind needs 1 <= r <= min(M.shape).
+    """
+    m, n = np.shape(M)
+    if not 1 <= r <= min(m, n):
+        raise ValueError(f"r={r} out of range for a {m}x{n} matrix")
     if strategy.kind == "rd":
         return InitResult(V0=init_rd(M, r, strategy.seed))
     if strategy.kind == "km":

@@ -117,20 +117,12 @@ class TestRank:
         import seminmf.cli as cli
         from seminmf.exceptions import NumericalError
 
-        def boom(M, zero_tol):
+        def boom(M):
             raise NumericalError("synthetic breakdown")
 
         monkeypatch.setattr(cli, "semi_rank", boom)
         assert main(["rank", str(fixture_file)]) == 3
         assert "numerical failure" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("zero_tol", ["nan", "inf", "10"])
-    def test_bad_zero_tol_exits_2(self, tmp_path, capsys, zero_tol):
-        # each of these used to drop every column and report V = 0, exit 0
-        p = tmp_path / "g.csv"
-        write_csv(p, np.random.default_rng(0).standard_normal((4, 7)))
-        assert main(["rank", str(p), "--zero-tol", zero_tol]) == 2
-        assert "zero_tol" in capsys.readouterr().err
 
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"
@@ -208,6 +200,13 @@ class TestFactorize:
         write_csv(p, np.eye(3))
         assert main(["factorize", str(p), "--rank", "1", "--maxiter", "0"]) == 2
 
+    @pytest.mark.parametrize("rank", ["0", "4"])
+    def test_rank_out_of_range_rejected(self, tmp_path, capsys, rank):
+        p = tmp_path / "m.csv"
+        write_csv(p, random_gaussian(3, 5, seed=4))
+        assert main(["factorize", str(p), "--rank", rank]) == 2
+        assert f"r={rank} out of range for a 3x5 matrix" in capsys.readouterr().err
+
     def test_a2_rank_one_rejected(self, tmp_path, capsys):
         p = tmp_path / "m.csv"
         write_csv(p, np.eye(3))
@@ -223,28 +222,6 @@ class TestFactorize:
         first = capsys.readouterr().out
         assert main(args) == 0
         assert capsys.readouterr().out == first
-
-    def test_env_seed_default(self, tmp_path, capsys, monkeypatch):
-        p = tmp_path / "m.csv"
-        write_csv(p, random_gaussian(6, 8, seed=4))
-        base = ["factorize", str(p), "--rank", "2", "--init", "rd", "--maxiter", "5"]
-        monkeypatch.setenv("SEMINMF_SEED", "11")
-        assert main(base) == 0
-        via_env = capsys.readouterr().out
-        monkeypatch.delenv("SEMINMF_SEED")
-        assert main(base + ["--seed", "11"]) == 0
-        assert capsys.readouterr().out == via_env
-
-    def test_bad_env_seed_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
-        # only the subcommands that take --seed read SEMINMF_SEED
-        p = tmp_path / "m.csv"
-        write_csv(p, random_gaussian(6, 8, seed=4))
-        monkeypatch.setenv("SEMINMF_SEED", "abc")
-        assert main(["rank", str(p)]) == 0
-        capsys.readouterr()
-        assert main(["factorize", str(p), "--rank", "2", "--maxiter", "5"]) == 2
-        assert "invalid int value: 'abc'" in capsys.readouterr().err
-        assert main(["factorize", str(p), "--rank", "2", "--maxiter", "5", "--seed", "3"]) == 0
 
 
 SUITE_TEXT = """
@@ -266,6 +243,17 @@ class TestBench:
             assert rc == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_default_seed_is_zero(self, tmp_path):
+        suite = tmp_path / "suite.cfg"
+        suite.write_text(SUITE_TEXT)
+        blobs = []
+        for seed_args in ([], ["--seed", "0"]):
+            out = tmp_path / f"s{len(seed_args)}.csv"
+            assert main(["bench", "--suite", str(suite), "--trials", "1",
+                         "--out", str(out)] + seed_args) == 0
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_jobs_do_not_change_csv(self, tmp_path):
         suite = tmp_path / "suite.cfg"

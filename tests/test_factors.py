@@ -296,19 +296,22 @@ class TestSemiRank:
         semi_rank(random_gaussian(6, 9, seed=1))
         assert len(svd_calls) == 1
 
-    @pytest.mark.parametrize("zero_tol", [np.nan, np.inf, -1e-3, 1.0, 10.0])
-    def test_rejects_bad_zero_tol(self, zero_tol):
-        with pytest.raises(ValueError, match="zero_tol"):
-            semi_rank(random_gaussian(4, 7, seed=0), zero_tol=zero_tol)
-
-    def test_large_zero_tol_keeps_the_largest_column(self):
-        # dropped columns must not decide the row signs of the kept ones
-        for seed in range(20):
-            M = random_gaussian(4, 7, seed=seed)
-            fact = semi_rank(M, zero_tol=0.9).factorization
-            j = np.argmax(np.abs(M).max(axis=0))
-            assert fact.V.min() >= 0.0
-            np.testing.assert_allclose(fact.U @ fact.V[:, j], M[:, j], atol=1e-12)
+    def test_certificate_tests_the_columns_v_keeps(self):
+        # M = u v^T with v_2 at 3e-13 of max v: column 2 of the right factor
+        # is below the zero-column cutoff, so V[:, 2] = 0, and the witness
+        # must not be set by it (with it, ||z|| ~ 6.5e12)
+        rng = np.random.default_rng(0)
+        u = rng.standard_normal(100)
+        v = rng.uniform(0.5, 1.5, 6)
+        v[2] = 3e-13 * v.max()
+        M = np.outer(u, v)
+        rep = semi_rank(M)
+        C = right_factor_columns(M, rep.rank)
+        expected = closed_form_certificate(C) or nnls_certificate(C)
+        np.testing.assert_array_equal(rep.certificate.z, expected.z)
+        assert np.linalg.norm(rep.certificate.z) < 10.0
+        np.testing.assert_array_equal(rep.factorization.V[:, 2], 0.0)
+        assert rep.factorization.frob_error <= 1e-9 * np.linalg.norm(M)
 
     def test_zero_matrix(self):
         rep = semi_rank(np.zeros((3, 5)))
@@ -343,6 +346,15 @@ class TestSemiRank:
         rep = semi_rank(M)
         np.testing.assert_array_equal(rep.factorization.V[:, 2], 0.0)
         assert rep.factorization.frob_error <= 1e-8 * np.linalg.norm(M)
+
+    def test_lift_zeroes_columns_below_the_cutoff(self):
+        # a nonzero column below the cutoff is zeroed before the lift,
+        # whose shift would otherwise leave it nonzero in V
+        M = np.hstack([TIGHT_2x3, [[3e-14], [-1e-14]]])
+        rep = semi_rank(M)
+        assert rep.semi_rank == 3
+        np.testing.assert_array_equal(rep.factorization.V[:, 3], 0.0)
+        assert rep.factorization.frob_error <= 1e-13
 
     def test_matrix_level_cross_check(self):
         # the verdict on the rank-revealing right factor must agree with
