@@ -227,6 +227,9 @@ def run_start(M, r: int, strategy: InitStrategy, max_iter: int, svd: Svd):
     start's error and errors[t] the error after t iterations;
     epsilon_star is the A3 shift, None for the other strategies.
     """
+    # checked again by cd_semi_nmf, but before the start has run
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     init = initialize(M, r, strategy, svd)
     U0 = init.U0 if init.U0 is not None else least_squares_left(M, init.V0)
     init_err = frob(M - U0 @ init.V0)

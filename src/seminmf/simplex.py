@@ -15,6 +15,17 @@ That is exact.  A basic artificial is a unit column with reduced cost
 exactly 0, so it never enters; one that leaves may not re-enter (as in
 the textbook two-phase method); and a pivot updates each stored column
 independently of the others.
+
+The tableau is stored column-major, so ``T.T`` holds each tableau column
+as one contiguous row.  A pivot updates only the columns whose entry in
+the normalized pivot row is nonzero.  That is exact: the dense rank-1
+update would give such a column x - f*0 = x, the same value up to the
+sign of a zero, and no test of the ratio or the entering rule can tell
++0 from -0.  It also pays: every basic column is exactly a unit vector,
+so the pivot row is zero at every basic column but its own.  The A3
+bisection's feasibility LP on p columns of length r has p rows and
+2r + 1 + p variables, so a pivot touches at most 2r + 3 of the
+2r + 2 + p stored columns.
 """
 
 from __future__ import annotations
@@ -41,11 +52,20 @@ class SimplexResult:
 
 
 def _pivot(T: np.ndarray, red: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    factors = T[:, col].copy()
+    """Pivot on T[row, col] in place; T is column-major.
+
+    The rank-1 update runs on the rows of ``T.T`` (the tableau columns)
+    whose normalized pivot-row entry is nonzero; any other column would
+    get x - f*0 = x, its own value up to the sign of a zero.
+    """
+    Tt = T.T
+    prow = Tt[:, row] / Tt[col, row]
+    nz = np.flatnonzero(prow)
+    factors = Tt[col].copy()
     factors[row] = 0.0
-    T -= np.outer(factors, T[row])
-    red -= red[col] * T[row]
+    Tt[nz] -= np.outer(prow[nz], factors)
+    Tt[:, row] = prow
+    red[nz] -= red[col] * prow[nz]
 
 
 def _run(T, red, basis, max_iter, it_start, bland, floor=None):
@@ -73,9 +93,10 @@ def _run(T, red, basis, max_iter, it_start, bland, floor=None):
             col = int(np.argmin(rc))
             if rc[col] >= -RCOST_TOL:
                 return it, bland
-        eligible = T[:, col] > PIVOT_TOL
-        ratios = np.full(T.shape[0], np.inf)
-        ratios[eligible] = T[eligible, -1] / T[eligible, col]
+        tcol = T[:, col]
+        ratios = np.divide(
+            T[:, -1], tcol, out=np.full(tcol.size, np.inf), where=tcol > PIVOT_TOL
+        )
         row = int(np.argmin(ratios))
         if not np.isfinite(ratios[row]):
             raise LpUnbounded("objective unbounded below")
@@ -125,7 +146,7 @@ def simplex_min(
     b[neg] *= -1.0
 
     # phase 1: artificial basis (ids only), minimize the sum of artificials
-    T = np.hstack([A, b[:, None]])
+    T = np.asfortranarray(np.hstack([A, b[:, None]]))
     basis = np.arange(n, n + m)
     red = np.append(-A.sum(axis=0), -b.sum())
     it, bland = _run(T, red, basis, max_iter, 0, bland=False, floor=0.0)
@@ -144,13 +165,16 @@ def simplex_min(
             basis[row] = int(cols[0])
         else:
             keep[row] = False
-    T = T[keep]
+    T = np.ascontiguousarray(T[keep])
     basis = basis[keep]
 
-    # phase 2: original objective
+    # phase 2: original objective.  The reduced costs are formed on a
+    # row-major T: BLAS sums a product in an order that depends on the
+    # layout, and these sums set the pivot path.
     red = np.empty(n + 1)
     red[:n] = c - c[basis] @ T[:, :n]
     red[-1] = -float(c[basis] @ T[:, -1])
+    T = np.asfortranarray(T)
     it, _ = _run(T, red, basis, max_iter, it, bland, floor=objective_floor)
 
     x = np.zeros(n)

@@ -61,6 +61,19 @@ def oracle_halfplane_2d(M, zero_tol: float = 1e-12) -> bool:
     return bool(max(gaps.max(initial=0.0), wrap) > math.pi)
 
 
+def oracle_dense_pivot(T: np.ndarray, red: np.ndarray, row: int, col: int) -> None:
+    """Pivot on T[row, col] in place with a dense rank-1 update of every column.
+
+    The reference for ``seminmf.simplex._pivot``, which updates only the
+    columns the pivot row touches; same signature, any tableau layout.
+    """
+    T[row] /= T[row, col]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= np.outer(factors, T[row])
+    red -= red[col] * T[row]
+
+
 def residual_row_update(M, U, V, i: int) -> np.ndarray:
     """Optimal nonnegative row i of V with everything else fixed.
 

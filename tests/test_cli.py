@@ -165,7 +165,7 @@ class TestFactorize:
 
     @pytest.mark.parametrize("init", ["rd", "km", "a2", "a3"])
     @pytest.mark.parametrize("k", [-600, 600])
-    def test_numerical_failure_at_extreme_scale_exits_3(self, tmp_path, capsys, init, k):
+    def test_factorize_at_extreme_scale_matches_unit_scale(self, tmp_path, capsys, init, k):
         # no numerical failure, and so no exit 3, at |M| ~ 2**600 or 2**-600:
         # the solve and the norms work on M / pow2_scale(M), so the error
         # scales by 2**k, the quality does not change and no RuntimeWarning
@@ -188,6 +188,16 @@ class TestFactorize:
         write_csv(p, random_gaussian(6, 9, seed=5))
         assert main(["factorize", str(p), "--rank", "3", "--init", "rd"]) == 3
         assert "numerical failure: non-finite residual" in capsys.readouterr().err
+
+    def test_maxiter_zero_exits_2_before_the_start(self, tmp_path, capsys, monkeypatch):
+        def unreachable(B):
+            raise AssertionError("the A3 bisection ran before max_iter was checked")
+
+        monkeypatch.setattr("seminmf.initializers.bisection_epsilon", unreachable)
+        p = tmp_path / "m.csv"
+        write_csv(p, random_gaussian(6, 9, seed=5))
+        assert main(["factorize", str(p), "--rank", "3", "--init", "a3", "--maxiter", "0"]) == 2
+        assert "max_iter must be >= 1" in capsys.readouterr().err
 
     def test_a3_runs_one_svd(self, tmp_path, capsys, svd_calls):
         p = tmp_path / "m.csv"

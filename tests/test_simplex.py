@@ -9,6 +9,8 @@ import seminmf.simplex
 from seminmf.exceptions import LpInfeasible, LpUnbounded, NumericalError
 from seminmf.simplex import simplex_min
 
+from oracles import oracle_dense_pivot
+
 
 def brute_force_vertices(c, A, b):
     """Optimal value by enumerating basic feasible solutions (tiny LPs only)."""
@@ -126,3 +128,50 @@ class TestRandomAgainstVertexOracle:
             np.testing.assert_allclose(A @ res.x, b, atol=1e-8)
             solved += 1
         assert solved >= 30
+
+
+def feasibility_lp(C):
+    """The LP of ``lp_feasibility`` on the columns of C: min t, C_n'z + t - s = b."""
+    m, p = C.shape
+    Cn = C / np.linalg.norm(C, axis=0)
+    A = np.hstack([Cn.T, -Cn.T, np.ones((p, 1)), -np.eye(p)])
+    b = 1.0 + 1e-3 * (np.arange(p) + 1.0) / p
+    cost = np.zeros(2 * m + 1 + p)
+    cost[2 * m] = 1.0
+    return cost, A, b
+
+
+class TestSparsePivotAgainstDense:
+    """The pivot updates only the columns the pivot row touches; the dense
+    rank-1 update of every column must give the same pivots and outputs."""
+
+    @staticmethod
+    def _both(monkeypatch, *lp, **kwargs):
+        sparse = simplex_min(*lp, **kwargs)
+        with monkeypatch.context() as mp:
+            mp.setattr(seminmf.simplex, "_pivot", oracle_dense_pivot)
+            dense = simplex_min(*lp, **kwargs)
+        assert np.array_equal(sparse.x, dense.x)
+        assert sparse.objective == dense.objective
+        assert sparse.iterations == dense.iterations
+        return sparse
+
+    @pytest.mark.parametrize("lp", [BEALE, SIMPLE_MAX], ids=["beale", "simple_max"])
+    def test_textbook_lps(self, monkeypatch, lp):
+        self._both(monkeypatch, *lp)
+
+    # 200x241 is the gauss-a3 shape (r=20), 100x121 and 100x181 the
+    # paper-desk shapes (r=10 and r=40)
+    @pytest.mark.parametrize("m, p", [(20, 200), (10, 100), (40, 100)])
+    @pytest.mark.parametrize("feasible", [True, False], ids=["feasible", "infeasible"])
+    def test_feasibility_lps(self, monkeypatch, m, p, feasible):
+        rng = np.random.default_rng(m + p)
+        # nonnegative combinations of m vectors lie in a half space; p
+        # Gaussian columns in R^m almost surely do not
+        C = rng.standard_normal((m, m))
+        C = C @ rng.random((m, p)) if feasible else rng.standard_normal((m, p))
+        lp = feasibility_lp(C)
+        assert lp[1].shape == (p, 2 * m + 1 + p)
+        res = self._both(monkeypatch, *lp, objective_floor=0.0)
+        assert (res.x[2 * m] < 0.5) == feasible
+        assert res.iterations > 0
