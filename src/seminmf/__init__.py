@@ -47,7 +47,7 @@ from .linalg import (
     thin_svd,
 )
 from .matio import read_matrix, write_matrix
-from .solver import SolveTrace, cd_semi_nmf
+from .solver import SolveTrace, cd_semi_nmf, cd_semi_nmf_stack
 
 __all__ = [
     "__version__",
@@ -66,6 +66,7 @@ __all__ = [
     "best_rank_error",
     "bisection_epsilon",
     "cd_semi_nmf",
+    "cd_semi_nmf_stack",
     "closed_form_certificate",
     "exact_semi_nmf_same_rank",
     "gen_noisy_semi",

@@ -25,7 +25,8 @@ import numpy as np
 from .exceptions import NumericalError
 from .initializers import STRATEGY_KINDS, InitStrategy, initialize
 from .linalg import Svd, as_matrix, best_rank_error, frob, least_squares_left, make_rng, thin_svd
-from .solver import cd_semi_nmf
+from .solver import cd_semi_nmf  # noqa: F401  unused here, but perfbench/tracer.py wraps this name
+from .solver import cd_semi_nmf_stack
 
 __all__ = [
     "quality",
@@ -35,7 +36,7 @@ __all__ = [
     "gen_noisy_semi",
     "TrialConfig",
     "ExperimentRecord",
-    "run_start",
+    "run_starts",
     "run_experiment",
     "config_problems",
     "records_to_csv",
@@ -218,25 +219,45 @@ def _trial_seed(master_seed: int, *key: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def run_start(M, r: int, strategy: InitStrategy, max_iter: int, svd: Svd):
-    """One start and ``max_iter`` coordinate descent iterations from it.
+def run_starts(M, r: int, strategies: list[InitStrategy], max_iter: int, svd: Svd) -> list:
+    """Each start, then ``max_iter`` coordinate descent iterations from all of them.
 
-    ``svd`` is the thin SVD of M, shared by every start on M.
+    ``svd`` is the thin SVD of M, shared by every start on M.  The
+    starts that initialize are solved as one stack, which gives each the
+    bits of its own solve (see ``solver``).
 
-    Returns (Factorization, errors, epsilon_star): errors[0] is the
-    start's error and errors[t] the error after t iterations;
-    epsilon_star is the A3 shift, None for the other strategies.
+    Returns one entry per strategy: (Factorization, errors, epsilon_star,
+    seconds), where errors[0] is the start's error and errors[t] the
+    error after t iterations, epsilon_star is the A3 shift (None for the
+    other strategies) and seconds is the start's time plus the stack's;
+    or the ValueError or NumericalError that failed that start.
     """
-    # checked again by cd_semi_nmf, but before the start has run
+    # checked again by the solver, but before any start has run
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    init = initialize(M, r, strategy, svd)
-    U0 = init.U0 if init.U0 is not None else least_squares_left(M, init.V0)
-    init_err = frob(M - U0 @ init.V0)
-    fact, trace = cd_semi_nmf(M, init.V0, max_iter)
-    errors = np.concatenate([[init_err], trace.errors])
-    eps = init.bisection.epsilon_star if init.bisection is not None else None
-    return fact, errors, eps
+    results: list = []
+    for strategy in strategies:
+        t0 = time.perf_counter()
+        try:
+            init = initialize(M, r, strategy, svd)
+            U0 = init.U0 if init.U0 is not None else least_squares_left(M, init.V0)
+            init_err = frob(M - U0 @ init.V0)
+        except (ValueError, NumericalError) as exc:
+            results.append(exc)
+            continue
+        results.append((init, init_err, time.perf_counter() - t0))
+    started = [k for k, res in enumerate(results) if not isinstance(res, Exception)]
+    solved = cd_semi_nmf_stack(M, [results[k][0].V0 for k in started], max_iter)
+    for k, res in zip(started, solved):
+        if isinstance(res, Exception):
+            results[k] = res
+            continue
+        init, init_err, init_s = results[k]
+        fact, trace = res
+        errors = np.concatenate([[init_err], trace.errors])
+        eps = init.bisection.epsilon_star if init.bisection is not None else None
+        results[k] = (fact, errors, eps, init_s + trace.wall_time)
+    return results
 
 
 def _run_trial(cfg: TrialConfig, ci: int, ti: int, master_seed: int) -> list[ExperimentRecord]:
@@ -250,25 +271,22 @@ def _run_trial(cfg: TrialConfig, ci: int, ti: int, master_seed: int) -> list[Exp
         config=cfg.name, generator=cfg.generator, m=cfg.m, n=cfg.n, r=cfg.r,
         inner_dim=cfg.inner_dim, delta=cfg.delta, trial=ti,
     )
+    # the trailing 0 is part of the seed derivation: dropping it changes every seed
+    seeds = [_trial_seed(master_seed, ci, ti, 1 + si, 0) for si in range(len(cfg.strategies))]
+    strategies = [InitStrategy(kind=kind, seed=seed) for kind, seed in zip(cfg.strategies, seeds)]
     records = []
-    for si, strategy in enumerate(cfg.strategies):
-        # the trailing 0 is part of the seed derivation: dropping it changes every seed
-        seed = _trial_seed(master_seed, ci, ti, 1 + si, 0)
-        t0 = time.perf_counter()
-        try:
-            strat = InitStrategy(kind=strategy, seed=seed)
-            _, errors, eps = run_start(M, cfg.r, strat, cfg.max_iter, svd)
-        except (ValueError, NumericalError) as exc:
+    for strat, res in zip(strategies, run_starts(M, cfg.r, strategies, cfg.max_iter, svd)):
+        if isinstance(res, Exception):
             records.append(ExperimentRecord(
-                **row, strategy=strategy, seed=matrix_seed, error=str(exc),
+                **row, strategy=strat.kind, seed=matrix_seed, error=str(res),
                 quality_trace=np.array([]), final_quality=math.nan,
                 checkpoint_quality={c: math.nan for c in cfg.checkpoints},
             ))
             continue
-        wall = time.perf_counter() - t0
+        _, errors, eps, wall = res
         qual = np.array([quality_from_error(e, best_err, frob_m) for e in errors])
         records.append(ExperimentRecord(
-            **row, strategy=strategy, seed=seed, epsilon_star=eps, wall_time=wall,
+            **row, strategy=strat.kind, seed=strat.seed, epsilon_star=eps, wall_time=wall,
             quality_trace=qual, final_quality=float(qual[-1]),
             checkpoint_quality={c: float(qual[c]) for c in cfg.checkpoints},
             error_trace=errors, frob_m=frob_m,

@@ -93,10 +93,15 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_factorize(args) -> int:
+    if args.maxiter < 1:
+        raise ValueError("max_iter must be >= 1")
     M = read_matrix(args.input)
     strat = InitStrategy(kind=args.init, seed=args.seed)
     svd = thin_svd(M)
-    fact, errors, eps = bench.run_start(M, args.rank, strat, args.maxiter, svd)
+    (res,) = bench.run_starts(M, args.rank, [strat], args.maxiter, svd)
+    if isinstance(res, Exception):
+        raise res
+    fact, errors, eps, _ = res
 
     best = svd.tail_error(args.rank)
     fm = frob(M)

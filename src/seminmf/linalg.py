@@ -127,20 +127,37 @@ def least_squares_left(M, V) -> np.ndarray:
     (r > n, or a zero or duplicated row of V) the solve falls back to
     ``np.linalg.lstsq``'s pseudoinverse, which treats singular values of
     V below ``rcond * sigma_max`` as zero.
+
+    V may also be a stack of shape (s, r, n); X is then the stack
+    (s, m, r) of the s minimizers, from one batched QR and solve.  LAPACK
+    factors each item of a batch as it would factor it alone, so every
+    X[k] is bitwise the X of its own call, layout included: each is the
+    transpose of the solve's C-ordered output.  The choice of path is
+    made per item.
     """
     M = as_matrix(M, "M")
-    V = as_matrix(V, "V")
-    if M.shape[1] != V.shape[1]:
-        raise ValueError(
-            f"column mismatch: M is {M.shape[0]}x{M.shape[1]}, V is "
-            f"{V.shape[0]}x{V.shape[1]}"
-        )
-    rcond = max(V.shape) * PINV_RTOL
+    Vs = np.asarray(V, dtype=np.float64)
+    if Vs.ndim != 3:
+        return least_squares_left(M, as_matrix(V, "V")[None])[0]
+    if not np.isfinite(Vs).all():
+        raise ValueError("V contains NaN or Inf entries")
+    s, r, n = Vs.shape
+    if M.shape[1] != n:
+        raise ValueError(f"column mismatch: M is {M.shape[0]}x{M.shape[1]}, V is {r}x{n}")
+    rcond = max(r, n) * PINV_RTOL
     # min ||M - XV|| == min over rows of ||V.T x - m||, solved column-block wise
-    if 0 < V.shape[0] <= V.shape[1]:
-        Q, R = np.linalg.qr(V.T)
-        diag = np.abs(np.diag(R))
-        if diag.min() > rcond * diag.max():
-            return np.linalg.solve(R, (M @ Q).T).T
-    Xt, *_ = np.linalg.lstsq(V.T, M.T, rcond=rcond)
-    return Xt.T
+    if 0 < r <= n:
+        Q, R = np.linalg.qr(Vs.transpose(0, 2, 1))
+        diag = np.abs(R.diagonal(0, 1, 2))
+        qr_ok = diag > rcond * diag.max(axis=1, keepdims=True)
+        if qr_ok.all():
+            return np.linalg.solve(R, (M @ Q).transpose(0, 2, 1)).transpose(0, 2, 1)
+        qr_ok = qr_ok.all(axis=1)
+    else:
+        qr_ok = np.zeros(s, dtype=bool)
+    Xt = np.empty((s, r, M.shape[0]))
+    if qr_ok.any():
+        Xt[qr_ok] = np.linalg.solve(R[qr_ok], (M @ Q[qr_ok]).transpose(0, 2, 1))
+    for k in np.flatnonzero(~qr_ok):
+        Xt[k], *_ = np.linalg.lstsq(Vs[k].T, M.T, rcond=rcond)
+    return Xt.transpose(0, 2, 1)

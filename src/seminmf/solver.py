@@ -13,11 +13,28 @@ same minimizer as max(0, (M - U V + u_i V[i])' u_i / ||u_i||^2) at
 O(r n) per row instead of O(m n).  The error is taken once per
 iteration from the explicit residual ||M - U V||_F, never from Gram
 quantities, which cancel near an exact fit.
+
+Several starts on one M are solved as a stack.  V is held as (s, r, n),
+and each iteration makes one batched least-squares solve for U, one
+G = U'U and one P = U'M over the stack, one row loop that updates row i
+of every start at once (a stacked vector-matrix product, then the
+subtract, divide, add and clamp of the single-start update in its
+operand order), and one residual norm per start.  A stacked LAPACK or
+BLAS call does, item by item, what the call on that item alone does,
+and elementwise arithmetic does not look at neighbouring entries, so
+each start's iterates are bitwise those of solving it alone.  That holds
+only while every item keeps the single solve's memory layout, because a
+BLAS result can depend on strides: a C-ordered copy of U changes U'M in
+the last bit, and a row stride of s n instead of n in V changes G[i] V.
+So V[k] is a C-ordered r x n block, and U[k] is the transpose of the
+solve's C-ordered output, as ``least_squares_left`` returns it.  The
+re-seed, the skipped degenerate rows and the failure rule stay per
+start: a start whose residual norm is not finite fails alone and leaves
+the stack.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -27,7 +44,7 @@ from .exceptions import NumericalError
 from .factors import make_factorization
 from .linalg import as_matrix, least_squares_left, pow2_scale, thin_svd
 
-__all__ = ["SolveTrace", "cd_semi_nmf"]
+__all__ = ["SolveTrace", "cd_semi_nmf", "cd_semi_nmf_stack"]
 
 # squared column norms below DEGENERATE_RTOL * ||U||_F^2 skip their row update
 DEGENERATE_RTOL = 1e-14
@@ -39,7 +56,8 @@ class SolveTrace:
 
     ``wall_time`` is the whole solve; ``lstsq_s``, ``sweep_s`` and
     ``error_s`` split it into the U least-squares solves, the Gram
-    products with re-seed and V row sweep, and the residual norms.
+    products with re-seed and V row sweep, and the residual norms.  In a
+    stack the times are the whole stack's.
     """
 
     errors: np.ndarray
@@ -51,22 +69,26 @@ class SolveTrace:
     error_s: float
 
 
-def _reseed_zero_rows(M, U, V):
+def _reseed_zero_rows(M, U, V, degenerate) -> bool:
     """Give degenerate U columns whose V row is exactly zero a useful direction.
 
     Replacing such a column leaves U @ V unchanged, so monotone descent
     is preserved; the new direction is the residual's leading left
-    singular vector.  Returns G = U'U for the (possibly updated) U.
+    singular vector.  Returns whether a column was replaced.
     """
-    G = U.T @ U
-    norms2 = np.diag(G)
     reseeded = False
-    for i in np.flatnonzero(norms2 < DEGENERATE_RTOL * norms2.sum()):
+    for i in np.flatnonzero(degenerate):
         if np.any(V[i] != 0.0):
             continue
         U[:, i] = thin_svd(M - U @ V).U[:, 0]
         reseeded = True
-    return U.T @ U if reseeded else G
+    return reseeded
+
+
+def _column_norms(G):
+    """Squared column norms of each U in the stack, and their sums."""
+    norms2 = np.diagonal(G, axis1=1, axis2=2)
+    return norms2, norms2.sum(axis=1)
 
 
 def cd_semi_nmf(M, V0, max_iter: int):
@@ -89,52 +111,111 @@ def cd_semi_nmf(M, V0, max_iter: int):
     two, so the iterates neither under- nor overflow at any scale of M;
     the division is exact, and U, the errors and the ``u_norms`` are
     scaled back by s.  Raises NumericalError when a residual norm is NaN
-    or Inf.
+    or Inf.  This is :func:`cd_semi_nmf_stack` on a stack of one.
+    """
+    (result,) = cd_semi_nmf_stack(M, [V0], max_iter)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def cd_semi_nmf_stack(M, V0s, max_iter: int) -> list:
+    """:func:`cd_semi_nmf` from each start in ``V0s`` (all r x n), as one stack.
+
+    Returns one entry per start: its (Factorization, SolveTrace), bitwise
+    what ``cd_semi_nmf(M, V0, max_iter)`` returns, or the NumericalError
+    that failed it.  Raises ValueError for an invalid start or max_iter.
     """
     M = as_matrix(M, "M")
-    V = as_matrix(V0, "V0").copy()
-    if V.shape[1] != M.shape[1]:
+    V0s = [as_matrix(V0, "V0") for V0 in V0s]
+    if any(V0.shape[1] != M.shape[1] for V0 in V0s):
         raise ValueError("V0 must have the same number of columns as M")
-    if V.min(initial=0.0) < 0.0:
+    if len({V0.shape for V0 in V0s}) > 1:
+        raise ValueError("the starts of a stack must have the same shape")
+    if any(V0.min(initial=0.0) < 0.0 for V0 in V0s):
         raise ValueError("V0 must be nonnegative")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    if not V0s:
+        return []
     # all-zero V0 rows are tolerated: they surface as degenerate U columns
     # and get re-seeded to the residual's leading direction
 
     start = time.perf_counter()
+    results: list = [None] * len(V0s)
     s = pow2_scale(M)
     X = M / s
-    errors, u_norms = [], []
+    V = np.array(V0s)
+    live = np.arange(len(V0s))  # the start each stack item belongs to
+    errors = np.empty((len(V0s), max_iter))
+    u_norms = np.empty((len(V0s), max_iter))
     lstsq_s = sweep_s = error_s = 0.0
-    U = None
-    for _ in range(max_iter):
+    for it in range(max_iter):
         t0 = time.perf_counter()
         U = least_squares_left(X, V)
+        Ut = U.transpose(0, 2, 1)
         t1 = time.perf_counter()
-        G = _reseed_zero_rows(X, U, V)
-        P = U.T @ X
-        norms2 = np.diag(G)
-        active = np.flatnonzero(norms2 >= DEGENERATE_RTOL * norms2.sum())
-        for i in active:
-            V[i] = np.maximum(0.0, V[i] + (P[i] - G[i] @ V) / G[i, i])
-        u_norms.append(math.sqrt(norms2.sum()))
+        G = Ut @ U
+        norms2, total = _column_norms(G)
+        act = norms2 >= DEGENERATE_RTOL * total[:, None]
+        if not act.all():
+            for k in np.flatnonzero(~act.all(axis=1)):
+                degenerate = norms2[k] < DEGENERATE_RTOL * total[k]
+                if _reseed_zero_rows(X, U[k], V[k], degenerate):
+                    G[k] = Ut[k] @ U[k]
+            norms2, total = _column_norms(G)
+            act = norms2 >= DEGENERATE_RTOL * total[:, None]
+        P = Ut @ X
+        # G[k, i, i] repeated along row i, so that no update broadcasts
+        D = np.repeat(norms2, V.shape[2], axis=1).reshape(V.shape)
+        all_active = act.all(axis=0).tolist()
+        out = np.empty((len(live), 1, V.shape[2]))
+        o = out[:, 0]
+        # step i yields row i of every start, G[:, i:i+1], P[:, i], D[:, i]
+        # and V[:, i], as views made without indexing in the loop
+        rows = zip(*(a.swapaxes(0, 1) for a in (G[:, :, None], P, D, V)))
+        for i, (g, p, d, row) in enumerate(rows):
+            if all_active[i]:
+                np.matmul(g, V, out=out)
+                np.subtract(p, o, out=o)
+                np.divide(o, d, out=o)
+                np.add(row, o, out=o)
+                np.maximum(0.0, o, out=row)
+                continue
+            for k in np.flatnonzero(act[:, i]):
+                V[k, i] = np.maximum(0.0, V[k, i] + (P[k, i] - G[k, i] @ V[k]) / G[k, i, i])
+        u_norms[:, it] = np.sqrt(total)
         t2 = time.perf_counter()
-        errors.append(float(np.linalg.norm(X - U @ V)))
+        R = U @ V
+        np.subtract(X, R, out=R)
+        errors[:, it] = [np.linalg.norm(Rk) for Rk in R]
         t3 = time.perf_counter()
         lstsq_s += t1 - t0
         sweep_s += t2 - t1
         error_s += t3 - t2
-        if not math.isfinite(errors[-1]):
-            raise NumericalError(f"residual norm {errors[-1]} at CD iteration {len(errors)}")
+        finite = np.isfinite(errors[:, it])
+        if finite.all():
+            continue
+        for k in np.flatnonzero(~finite):
+            msg = f"residual norm {float(errors[k, it])} at CD iteration {it + 1}"
+            results[live[k]] = NumericalError(msg)
+        live, V, Ut = live[finite], V[finite], Ut[finite]
+        errors, u_norms = errors[finite], u_norms[finite]
+        if not live.size:
+            return results
 
-    trace = SolveTrace(
-        errors=np.array(errors) * s,
-        u_norms=np.array(u_norms) * s,
-        iterations_run=len(errors),
-        wall_time=time.perf_counter() - start,
-        lstsq_s=lstsq_s,
-        sweep_s=sweep_s,
-        error_s=error_s,
-    )
-    return make_factorization(M, U * s, V), trace
+    wall_time = time.perf_counter() - start
+    for k, j in enumerate(live):
+        trace = SolveTrace(
+            errors=errors[k] * s,
+            u_norms=u_norms[k] * s,
+            iterations_run=max_iter,
+            wall_time=wall_time,
+            lstsq_s=lstsq_s,
+            sweep_s=sweep_s,
+            error_s=error_s,
+        )
+        # Ut[k].T, not U[k]: a failed start's removal copies Ut, and only
+        # Ut's items keep the solve's layout through the copy
+        results[j] = (make_factorization(M, Ut[k].T * s, V[k]), trace)
+    return results

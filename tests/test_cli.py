@@ -180,20 +180,21 @@ class TestFactorize:
         assert qual_k == pytest.approx(qual, rel=1e-12)
 
     def test_numerical_failure_exits_3(self, tmp_path, capsys, monkeypatch):
-        def fail(*args, **kwargs):
-            raise NumericalError("non-finite residual")
+        def fail(M, V0s, max_iter):
+            return [NumericalError("non-finite residual") for _ in V0s]
 
-        monkeypatch.setattr("seminmf.bench.cd_semi_nmf", fail)
+        monkeypatch.setattr("seminmf.bench.cd_semi_nmf_stack", fail)
         p = tmp_path / "m.csv"
         write_csv(p, random_gaussian(6, 9, seed=5))
         assert main(["factorize", str(p), "--rank", "3", "--init", "rd"]) == 3
         assert "numerical failure: non-finite residual" in capsys.readouterr().err
 
     def test_maxiter_zero_exits_2_before_the_start(self, tmp_path, capsys, monkeypatch):
-        def unreachable(B):
-            raise AssertionError("the A3 bisection ran before max_iter was checked")
+        def unreachable(*args):
+            raise AssertionError("the SVD or the A3 bisection ran before max_iter was checked")
 
         monkeypatch.setattr("seminmf.initializers.bisection_epsilon", unreachable)
+        monkeypatch.setattr("seminmf.cli.thin_svd", unreachable)
         p = tmp_path / "m.csv"
         write_csv(p, random_gaussian(6, 9, seed=5))
         assert main(["factorize", str(p), "--rank", "3", "--init", "a3", "--maxiter", "0"]) == 2

@@ -169,6 +169,21 @@ class TestLeastSquaresLeft:
         np.testing.assert_allclose(X, M @ np.linalg.pinv(V), atol=1e-12)
         np.testing.assert_allclose(X @ V, M, atol=1e-12)
 
+    def test_stack_is_bitwise_each_solve(self, lstsq_calls):
+        # a stack mixing full-rank items with one that has a zero row: each
+        # item takes its own path and returns the bits, and the layout, of
+        # its own call
+        M = random_gaussian(7, 12, seed=35)
+        Vs = np.stack([random_uniform(4, 12, seed=36 + k) for k in range(3)])
+        Vs[1, 2] = 0.0
+        X = least_squares_left(M, Vs)
+        assert len(lstsq_calls) == 1
+        for Xk, V in zip(X, Vs):
+            want = least_squares_left(M, V)
+            assert np.array_equal(Xk, want)
+            assert Xk.strides == want.strides
+        assert len(lstsq_calls) == 2
+
 
 class TestRandom:
     def test_uniform_range(self):

@@ -1,10 +1,17 @@
 """Property tests of ``semi_rank``: invariance under power-of-two scaling,
-column permutation, duplicated columns and appended zero columns."""
+column permutation, duplicated columns and appended zero columns; and of
+``run_experiment``: a record is a function of the master seed and of its
+own strategy, not of the strategies run beside it."""
+
+import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+from seminmf.bench import TrialConfig, run_experiment
 from seminmf.factors import semi_rank
+from seminmf.initializers import STRATEGY_KINDS
 from seminmf.linalg import random_gaussian, random_uniform
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -65,3 +72,55 @@ def test_appended_zero_columns(M, zeros):
     assert verdict(rep) == verdict(semi_rank(M))
     np.testing.assert_array_equal(rep.factorization.V[:, n:], 0.0)
     assert rep.factorization.frob_error <= 1e-9 * np.linalg.norm(M)
+
+
+# a few dozen full trials (four starts, the A3 bisection, CD) per property
+TRIAL_PROPERTY = hypothesis.settings(derandomize=True, deadline=None, max_examples=25)
+
+
+@st.composite
+def trial_configs(draw):
+    """A small config of any generator kind, all four strategies, a short run."""
+    gen = draw(st.sampled_from(["nonnegative", "semi_nonneg", "noisy_semi"]))
+    m, n = draw(st.integers(3, 8)), draw(st.integers(3, 10))
+    r = draw(st.integers(1, min(m, n)))
+    extra = {}
+    if gen == "semi_nonneg":
+        extra["inner_dim"] = draw(st.integers(1, min(m, n)))
+    if gen == "noisy_semi":
+        extra["delta"] = draw(st.sampled_from([0.0, 0.5, 5.0, math.inf]))
+    return TrialConfig(gen, m, n, r, max_iter=8, checkpoints=(4, 8), **extra)
+
+
+def same_outcome(a, b):
+    """Equal records up to the seed column and the wall time."""
+    assert (a.config, a.strategy, a.trial, a.error) == (b.config, b.strategy, b.trial, b.error)
+    assert a.epsilon_star == b.epsilon_star
+    assert np.array_equal(a.error_trace, b.error_trace)
+    assert np.array_equal(a.quality_trace, b.quality_trace, equal_nan=True)
+    assert np.array_equal(a.final_quality, b.final_quality, equal_nan=True)
+    assert a.checkpoint_quality.keys() == b.checkpoint_quality.keys()
+    for c in a.checkpoint_quality:
+        assert np.array_equal(a.checkpoint_quality[c], b.checkpoint_quality[c], equal_nan=True)
+
+
+@TRIAL_PROPERTY
+@hypothesis.given(trial_configs(), SEEDS)
+def test_a_start_does_not_depend_on_its_stack_mates(cfg, seed):
+    # a2 and a3 ignore their strategy seed, so only the seed column may
+    # differ between a trial of that strategy alone and one of all four
+    assert cfg.strategies == STRATEGY_KINDS
+    together = {rec.strategy: rec for rec in run_experiment([cfg], 1, seed)}
+    for kind in ("a2", "a3"):
+        (alone,) = run_experiment([dataclasses.replace(cfg, strategies=(kind,))], 1, seed)
+        same_outcome(alone, together[kind])
+
+
+@TRIAL_PROPERTY
+@hypothesis.given(trial_configs(), SEEDS)
+def test_same_master_seed_same_records(cfg, seed):
+    a, b = run_experiment([cfg], 2, seed), run_experiment([cfg], 2, seed)
+    assert len(a) == len(b) == 2 * len(STRATEGY_KINDS)
+    for ra, rb in zip(a, b):
+        assert ra.seed == rb.seed
+        same_outcome(ra, rb)

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import seminmf.solver
+from seminmf.exceptions import NumericalError
 from seminmf.linalg import least_squares_left, random_gaussian, random_uniform
-from seminmf.solver import cd_semi_nmf
+from seminmf.solver import cd_semi_nmf, cd_semi_nmf_stack
 
 from oracles import residual_row_update
 
@@ -17,6 +19,18 @@ def zero_v0_row_input():
     V0 = random_uniform(3, 9, seed=13)
     V0[2] = 0.0
     return M, V0
+
+
+def degenerate_column_input():
+    # M = A V0[:2] + E with the rows of E orthogonal to the row space of
+    # V0: the least-squares U is [A, ~0], so U's last column is degenerate
+    # while its V row is nonzero (no re-seed) and the sweep must leave
+    # that row alone
+    V0 = random_uniform(3, 12, seed=90)
+    A = random_gaussian(7, 2, seed=91)
+    N = random_gaussian(7, 12, seed=92)
+    E = N - least_squares_left(N, V0) @ V0
+    return A @ V0[:2] + E, V0
 
 
 def monotone_slack(errors, M):
@@ -170,15 +184,7 @@ class TestOneIteration:
             assert skipped == []
 
     def test_degenerate_column_is_skipped(self):
-        # M = A V0[:2] + E with the rows of E orthogonal to the row space
-        # of V0: the least-squares U is [A, ~0], so U's last column is
-        # degenerate while its V row is nonzero (no re-seed) and the
-        # sweep must leave that row alone
-        V0 = random_uniform(3, 12, seed=90)
-        A = random_gaussian(7, 2, seed=91)
-        N = random_gaussian(7, 12, seed=92)
-        E = N - least_squares_left(N, V0) @ V0
-        M = A @ V0[:2] + E
+        M, V0 = degenerate_column_input()
         skipped, fact = self.check(M, V0)
         assert skipped == [2]
         np.testing.assert_array_equal(fact.V[2], V0[2])
@@ -201,6 +207,80 @@ class TestUSolveBranch:
         M, V0 = zero_v0_row_input()
         cd_semi_nmf(M, V0, max_iter=40)
         assert len(lstsq_calls) == 1
+
+
+def poison_u(monkeypatch, item, call):
+    """Make the U solve return NaN for stack item ``item`` on its ``call``-th call."""
+    solve = seminmf.solver.least_squares_left
+    calls = []
+
+    def poisoned(M, V):
+        U = solve(M, V)
+        calls.append(1)
+        if len(calls) == call:
+            U[item] = np.nan
+        return U
+
+    monkeypatch.setattr(seminmf.solver, "least_squares_left", poisoned)
+
+
+class TestStack:
+    """One stacked solve gives every start the bits of its own solve."""
+
+    @staticmethod
+    def assert_bitwise(got, want):
+        (fact, trace), (fact1, trace1) = got, want
+        assert np.array_equal(trace.errors, trace1.errors)
+        assert np.array_equal(trace.u_norms, trace1.u_norms)
+        assert np.array_equal(fact.U, fact1.U)
+        assert np.array_equal(fact.V, fact1.V)
+        assert fact.frob_error == fact1.frob_error
+        assert trace.iterations_run == trace1.iterations_run
+
+    @pytest.mark.parametrize("m,n,r", [(9, 13, 4), (50, 100, 10), (7, 12, 1), (6, 3, 5)])
+    def test_random_starts(self, m, n, r):
+        # r = 1 takes numpy's non-BLAS vector product, r > n the lstsq path
+        M = random_gaussian(m, n, seed=m + n)
+        V0s = [random_uniform(r, n, seed=60 + k) for k in range(4)]
+        for got, V0 in zip(cd_semi_nmf_stack(M, V0s, 30), V0s):
+            self.assert_bitwise(got, cd_semi_nmf(M, V0, 30))
+
+    def test_reseed_skip_and_failure_stay_per_start(self, monkeypatch, lstsq_calls):
+        # on one M: a generic start, a zero V0 row (one lstsq fallback and
+        # a re-seed), a degenerate U column (row 2 skipped on that start
+        # only) and a start whose U turns NaN at iteration 5
+        M, V0_degenerate = degenerate_column_input()
+        V0_zero_row = random_uniform(3, 12, seed=94)
+        V0_zero_row[2] = 0.0
+        V0s = [random_uniform(3, 12, seed=93), V0_zero_row, V0_degenerate,
+               random_uniform(3, 12, seed=95)]
+        alone = [cd_semi_nmf(M, V0, 40) for V0 in V0s[:3]]
+        assert len(lstsq_calls) == 1
+        assert np.any(alone[1][0].V[2] != 0.0)  # re-seeded
+        first = cd_semi_nmf_stack(M, V0s, 1)
+        for k, (fact, _) in enumerate(first):
+            assert np.array_equal(fact.V[2], V0s[k][2]) == (k == 2)
+
+        lstsq_calls.clear()
+        poison_u(monkeypatch, item=3, call=5)
+        *stacked, failed = cd_semi_nmf_stack(M, V0s, 40)
+        assert len(lstsq_calls) == 1
+        for got, want in zip(stacked, alone):
+            self.assert_bitwise(got, want)
+        assert isinstance(failed, NumericalError)
+        assert str(failed) == "residual norm nan at CD iteration 5"
+
+        poison_u(monkeypatch, item=0, call=5)
+        with pytest.raises(NumericalError) as alone_failed:
+            cd_semi_nmf(M, V0s[3], 40)
+        assert str(alone_failed.value) == str(failed)
+
+    def test_rejects_mixed_shapes(self):
+        with pytest.raises(ValueError, match="same shape"):
+            cd_semi_nmf_stack(np.ones((2, 3)), [np.ones((2, 3)), np.ones((1, 3))], 1)
+
+    def test_empty_stack(self):
+        assert cd_semi_nmf_stack(np.ones((2, 3)), [], 5) == []
 
 
 class TestResidualRowUpdate:
