@@ -208,7 +208,7 @@ class ExperimentRecord:
     final_quality: float
     checkpoint_quality: dict[int, float] = field(default_factory=dict)
     epsilon_star: float | None = None
-    wall_time: float = 0.0
+    wall_time: float = 0.0  # the start's own seconds plus the whole stack's CD seconds
     error: str | None = None
     error_trace: np.ndarray = field(default_factory=lambda: np.array([]))
     frob_m: float = math.nan

@@ -6,9 +6,13 @@ Four strategies:
 * ``km`` -- k-means binary indicator plus a 0.2 offset.
 * ``a2`` -- rank-(r-1) SVD lifted to width r with a nonnegative right
   factor; its starting error equals the best rank-(r-1) error.
-* ``a3`` -- rank-r SVD whose right factor is shifted by the smallest
-  feasible eps from the bisection and corrected to be nonnegative; when
-  eps is zero the start already attains the best rank-r error.
+* ``a3`` -- rank-r SVD pair (A, B) whose right factor is shifted by the
+  smallest feasible eps* from the bisection; V0 is the same-rank
+  correction of B + eps* (``exact_semi_nmf_same_rank``, as in
+  ``semi_rank``).  A (B + eps* 1 1^T) = U V0 exactly and M - A B is
+  orthogonal to the columns of A, so with U0 the least-squares left
+  factor  ||M - U0 V0||^2 <= e_r^2 + n eps*^2 ||A 1||^2,  e_r the best
+  rank-r error.  At eps* = 0, U0 is the exact U and the start attains e_r.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ __all__ = [
 ]
 
 STRATEGY_KINDS = ("rd", "km", "a2", "a3")
-X_FLOOR = 1e-12  # floor on the A3 start's x entries before dividing in the alpha step
 
 
 @dataclass(frozen=True)
@@ -92,19 +95,11 @@ def _a2_start(svd: Svd, r: int):
 def _a3_start(M, svd: Svd, r: int):
     A, B = sign_flip(*svd.pair(r))
     bis = bisection_epsilon(B)
-    if bis.epsilon_star == 0.0:
-        # U0 @ V0 is the rank-r truncation A @ B itself
-        fact = exact_semi_nmf_same_rank(A, B, bis.y_star)
-        return fact.U, fact.V, bis
-    # x >= 1 - tol on the constrained columns; the floor only matters for
-    # columns whose shifted version vanished, and using the floored x in
-    # the outer product keeps V0 nonnegative in that case too
-    x = np.maximum((B + bis.epsilon_star).T @ bis.y_star, X_FLOOR)
-    alpha = np.maximum(0.0, (-B / x).max(axis=1, initial=0.0))
-    V0 = B + np.outer(alpha, x)
-    np.maximum(V0, 0.0, out=V0)
-    U0 = least_squares_left(M, V0)
-    return U0, V0, bis
+    # y* is certified on B + eps* (B + 0.0 at eps* = 0, where the exact U
+    # makes U0 @ V0 the rank-r truncation A @ B itself)
+    fact = exact_semi_nmf_same_rank(A, B + bis.epsilon_star, bis.y_star)
+    U0 = fact.U if bis.epsilon_star == 0.0 else least_squares_left(M, fact.V)
+    return U0, fact.V, bis
 
 
 def init_a2(M, r: int):
@@ -119,10 +114,12 @@ def init_a2(M, r: int):
 def init_a3(M, r: int):
     """Shift-and-correct start from the rank-r truncated SVD.
 
-    Returns (U0, V0, BisectionResult).  V0 is nonnegative by
-    construction for every input; when the bisection finds eps = 0 the
-    start is ``exact_semi_nmf_same_rank`` of the truncation and attains
-    the best rank-r error exactly.
+    Returns (U0, V0, BisectionResult).  V0 is ``exact_semi_nmf_same_rank``
+    of the sign-flipped right factor shifted by the bisection's eps*, so
+    it is nonnegative for every input.  When eps* = 0 the start is that
+    correction of the truncation itself and attains the best rank-r
+    error e_r; otherwise U0 is the least-squares left factor of V0 and
+    ||M - U0 V0||^2 <= e_r^2 + n eps*^2 ||A 1||^2 (see the module docstring).
     """
     return _a3_start(M, thin_svd(M), r)
 

@@ -56,8 +56,8 @@ class SolveTrace:
 
     ``wall_time`` is the whole solve; ``lstsq_s``, ``sweep_s`` and
     ``error_s`` split it into the U least-squares solves, the Gram
-    products with re-seed and V row sweep, and the residual norms.  In a
-    stack the times are the whole stack's.
+    products with re-seed and V row sweep, and the residual norms.  All
+    four are the stack's times: every start of a stack carries the same.
     """
 
     errors: np.ndarray

@@ -34,15 +34,17 @@ import pytest
 
 from seminmf.bench import (
     TrialConfig,
-    gen_semi_nonneg,
+    _generate,
+    _trial_seed,
+    gen_noisy_semi,
     quality_from_error,
     run_experiment,
 )
 from seminmf.cli import main
-from seminmf.factors import lift_rank_plus_one, semi_rank
+from seminmf.factors import lift_rank_plus_one, semi_rank, sign_flip
 from seminmf.halfspace import bisection_epsilon, halfspace_feasible
-from seminmf.initializers import init_a2
-from seminmf.linalg import best_rank_error, random_gaussian, random_uniform
+from seminmf.initializers import InitStrategy, init_a2, initialize
+from seminmf.linalg import best_rank_error, random_gaussian, random_uniform, thin_svd
 from seminmf.matio import write_csv
 from seminmf.solver import cd_semi_nmf
 
@@ -94,15 +96,18 @@ def crit4_records():
     return run_experiment(configs, trials=50, master_seed=2024, jobs=2)
 
 
+CRIT5_CONFIGS = [
+    TrialConfig("noisy_semi", 50, 100, r, delta=5.0, strategies=("rd", "km", "a3"))
+    for r in (10, 40)
+] + [
+    TrialConfig("noisy_semi", 50, 100, 40, delta=math.inf, strategies=("rd", "km", "a3"))
+]
+CRIT5_TRIALS, CRIT5_SEED = 50, 2025
+
+
 @pytest.fixture(scope="session")
 def crit5_records():
-    configs = [
-        TrialConfig("noisy_semi", 50, 100, r, delta=5.0, strategies=("rd", "km", "a3"))
-        for r in (10, 40)
-    ] + [
-        TrialConfig("noisy_semi", 50, 100, 40, delta=math.inf, strategies=("rd", "km", "a3"))
-    ]
-    return run_experiment(configs, trials=50, master_seed=2025, jobs=2)
+    return run_experiment(CRIT5_CONFIGS, trials=CRIT5_TRIALS, master_seed=CRIT5_SEED, jobs=2)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +258,43 @@ def test_criterion_5_gaussian_large_r(crit5_records):
     assert report(
         5, ok, f"delta=inf r=40 clause (medians a3={a3:.3f} <= rd={rd:.3f}, km={km:.3f})"
     )
+
+
+def test_a3_start_meets_its_shift_bound():
+    # ||M - U0 V0||^2 <= e_r^2 + n eps*^2 ||A 1||^2 on every A3 start of the
+    # criterion-5 fixture and on gauss-a3-shaped inputs (100x200, r=20,
+    # delta=inf).  A (B + eps* 1 1^T) has the exact width-r factorization
+    # (U, V0), least squares can only lower its error, and M - A B is
+    # orthogonal to the columns of A.  That holds in exact arithmetic.  The
+    # SVD, the correction and the least-squares solve are backward stable and
+    # the error is evaluated as ||M - U0 V0||, so in floating point each moves
+    # the error by a dimension-sized multiple of the unit roundoff u times the
+    # size of its operands, ||M|| + sum_i ||u_i|| ||v_i|| = ||M|| (1 + kappa).
+    # The slack takes (m + n) u for that multiple, on the error, not its square.
+    u = np.finfo(np.float64).eps / 2
+    inputs = [
+        (_generate(cfg, _trial_seed(CRIT5_SEED, ci, ti, 0)), cfg.r)
+        for ci, cfg in enumerate(CRIT5_CONFIGS) for ti in range(CRIT5_TRIALS)
+    ] + [(gen_noisy_semi(100, 200, 20, math.inf, seed), 20) for seed in range(10)]
+    shifted, worst, over = 0, -math.inf, []
+    for M, r in inputs:
+        svd = thin_svd(M)
+        start = initialize(M, r, InitStrategy("a3"), svd)
+        A, _ = sign_flip(*svd.pair(r))
+        eps = start.bisection.epsilon_star
+        shift = eps * np.linalg.norm(A.sum(axis=1))
+        bound = math.sqrt(svd.tail_error(r) ** 2 + M.shape[1] * shift**2)
+        U0, V0, frob_m = start.U0, start.V0, np.linalg.norm(M)
+        kappa = np.sum(np.linalg.norm(U0, axis=0) * np.linalg.norm(V0, axis=1)) / frob_m
+        err = np.linalg.norm(M - U0 @ V0)
+        if eps > 0.0:
+            shifted += 1
+            worst = max(worst, err / bound - 1.0)
+        if err > bound + sum(M.shape) * u * frob_m * (1.0 + kappa):
+            over.append((M.shape, r, eps, err / bound - 1.0))
+    detail = f"({len(inputs)} starts; at eps* > 0, {shifted}, worst error / bound - 1 = {worst:.2e})"
+    print(f"[a3 shift bound] {'FAIL' if over else 'PASS'} {detail}")
+    assert not over, f"starts above the bound (shape, r, eps*, error / bound - 1): {over}"
 
 
 def test_criterion_6_monotone_descent(crit3_runs, crit4_records, crit5_records):

@@ -1,5 +1,6 @@
 """Property tests of ``semi_rank``: invariance under power-of-two scaling,
-column permutation, duplicated columns and appended zero columns; and of
+column permutation, duplicated columns and appended zero columns; of the
+A3 start under power-of-two scaling and column permutation; and of
 ``run_experiment``: a record is a function of the master seed and of its
 own strategy, not of the strategies run beside it."""
 
@@ -9,9 +10,9 @@ import math
 import numpy as np
 import pytest
 
-from seminmf.bench import TrialConfig, run_experiment
+from seminmf.bench import TrialConfig, gen_noisy_semi, run_experiment
 from seminmf.factors import semi_rank
-from seminmf.initializers import STRATEGY_KINDS
+from seminmf.initializers import STRATEGY_KINDS, init_a3
 from seminmf.linalg import random_gaussian, random_uniform
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -72,6 +73,40 @@ def test_appended_zero_columns(M, zeros):
     assert verdict(rep) == verdict(semi_rank(M))
     np.testing.assert_array_equal(rep.factorization.V[:, n:], 0.0)
     assert rep.factorization.frob_error <= 1e-9 * np.linalg.norm(M)
+
+
+# a few A3 starts at the desk shape, each a full bisection
+A3_PROPERTY = hypothesis.settings(derandomize=True, deadline=None, max_examples=8)
+
+
+@st.composite
+def desk_matrices(draw):
+    """A 50 x 100 noisy matrix of the paper-desk preset and its rank r."""
+    r, delta = draw(st.sampled_from([10, 40])), draw(st.sampled_from([5.0, 10.0, math.inf]))
+    return gen_noisy_semi(50, 100, r, delta, draw(SEEDS)), r
+
+
+# LAPACK's SVD rescales M by a factor that is not a power of two when max|M|
+# leaves [2**-458, 2**458], so k stays inside that range
+@A3_PROPERTY
+@hypothesis.given(desk_matrices(), st.sampled_from([-400, -3, 5, 400]))
+def test_a3_start_power_of_two_scaling(Mr, k):
+    M, r = Mr
+    U0, V0, bis = init_a3(M, r)
+    U0_k, V0_k, bis_k = init_a3(np.ldexp(M, k), r)
+    assert bis_k.epsilon_star == bis.epsilon_star
+    np.testing.assert_array_equal(V0_k, V0)
+    np.testing.assert_array_equal(U0_k, np.ldexp(U0, k))
+
+
+@A3_PROPERTY
+@hypothesis.given(desk_matrices(), SEEDS)
+def test_a3_bisection_column_permutation(Mr, seed):
+    # the shifts differ in the last bits with the SVD's rounding; the verdicts do not
+    M, r = Mr
+    perm = np.random.default_rng(seed).permutation(M.shape[1])
+    verdicts = [[ok for _, ok in init_a3(X, r)[2].trace] for X in (M, M[:, perm])]
+    assert verdicts[1] == verdicts[0]
 
 
 # a few dozen full trials (four starts, the A3 bisection, CD) per property
