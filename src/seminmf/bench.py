@@ -140,14 +140,17 @@ def config_problems(fields: dict) -> list[str]:
         dims_ok = False
     if dims_ok and isinstance(r, int) and not 1 <= r <= min(m, n):
         errs.append(f"r: {r} out of range for {m}x{n}")
+    k, d = f.get("inner_dim"), f.get("delta")
     if gen == "semi_nonneg":
-        k = f.get("inner_dim")
         if not isinstance(k, int) or (dims_ok and not 1 <= k <= min(m, n)):
             errs.append(f"inner_dim: {k!r} invalid for semi_nonneg")
+    elif gen in GENERATOR_KINDS and k is not None:
+        errs.append(f"inner_dim: {gen} ignores it (semi_nonneg only)")
     if gen == "noisy_semi":
-        d = f.get("delta")
         if not isinstance(d, (int, float)) or not d >= 0:
             errs.append(f"delta: {d!r} invalid for noisy_semi")
+    elif gen in GENERATOR_KINDS and d is not None:
+        errs.append(f"delta: {gen} ignores it (noisy_semi only)")
     for s in f["strategies"]:
         if s not in STRATEGY_KINDS:
             errs.append(f"strategies: unknown strategy {s!r}")

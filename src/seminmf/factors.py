@@ -1,11 +1,12 @@
 """Exact factorization constructions and the semi-nonnegative rank.
 
-Three building blocks:
+Three building blocks; the two constructions are exact by design, so they
+return their factor pair and measure no error:
 
-* ``lift_rank_plus_one`` turns any product A @ B into a factorization
-  with one extra inner dimension whose right factor is nonnegative,
-  by appending the balancing column -A.sum(axis=1) and shifting each
-  column of B just enough to clear its most negative entry.
+* ``lift_rank_plus_one`` turns any product A @ B into a factor pair
+  (U, V) with one extra inner dimension whose right factor is
+  nonnegative, by appending the balancing column -A.sum(axis=1) and
+  shifting each column of B just enough to clear its most negative entry.
 
 * ``exact_semi_nmf_same_rank`` keeps the inner dimension: given a
   witness y with B.T y > 0 on the nonzero columns, a rank-one row
@@ -13,12 +14,12 @@ Three building blocks:
   U absorbs the inverse correction through the Sherman-Morrison
   identity so that U @ V = A @ B exactly.
 
-* ``semi_rank`` combines both: the semi-nonnegative rank of a matrix is
-  its rank when the nonzero columns of a rank-revealing right factor
-  fit in an open half space, and rank + 1 otherwise, and an exact
-  nonnegative-right factorization is produced either way.  The half
-  space test is the closed form, then a least-distance (NNLS) problem
-  of rank + 1 rows; no LP is solved.
+* ``semi_rank`` combines both: the semi-nonnegative rank of a matrix M
+  is its rank when the nonzero columns of a rank-revealing right factor
+  fit in an open half space, and rank + 1 otherwise; either way it
+  returns a ``Factorization`` with its error measured against M.  The
+  half space test is the closed form, then a least-distance (NNLS)
+  problem of rank + 1 rows; no LP is solved.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .exceptions import NumericalError
 from .halfspace import (
     HalfspaceCertificate,
     _vacuous,
@@ -40,7 +42,6 @@ from .linalg import as_matrix, frob, pow2_scale, thin_svd
 __all__ = [
     "Factorization",
     "SemiRankReport",
-    "make_factorization",
     "lift_rank_plus_one",
     "sign_flip",
     "exact_semi_nmf_same_rank",
@@ -54,10 +55,11 @@ CLAMP_TOL = 1e-12  # relative size of negative V dust that is clamped, not rejec
 
 @dataclass(frozen=True)
 class Factorization:
-    """A pair (U, V) with V >= 0 and its Frobenius error against a source matrix.
+    """A pair (U, V) with V >= 0 and its Frobenius error against the matrix M it factors.
 
-    ``clamped`` records the largest magnitude of negative roundoff dust
-    that was zeroed out of V at construction time.
+    Built only by ``semi_rank`` and the CD solver.  ``clamped`` is the
+    largest magnitude of negative roundoff dust that the same-rank
+    correction zeroed out of V; it is always 0 for the CD solver.
     """
 
     U: np.ndarray
@@ -66,30 +68,21 @@ class Factorization:
     clamped: float = 0.0
 
 
-def make_factorization(M, U, V) -> Factorization:
-    """Build a Factorization, clamping negative dust in V to zero.
-
-    Entries of V below ``-CLAMP_TOL * max(1, max|V|)`` are treated as a
-    bug in the caller and rejected.
-    """
-    M = as_matrix(M, "M")
-    U = as_matrix(U, "U")
-    V = as_matrix(V, "V")
-    scale = max(1.0, float(np.max(np.abs(V), initial=0.0)))
+def _clamp_dust(V):
+    """Zero V's negative roundoff dust; returns (max(V, 0), the largest dust magnitude).
+    An entry below ``-CLAMP_TOL * max|V|`` is an arithmetic failure, not dust."""
     low = float(V.min(initial=0.0))
-    if low < -CLAMP_TOL * scale:
-        raise ValueError(f"V has a negative entry {low:.3e} beyond roundoff dust")
-    clamped = max(0.0, -low)
-    V = np.maximum(V, 0.0)
-    return Factorization(U=U, V=V, frob_error=frob(M - U @ V), clamped=clamped)
+    if low < -CLAMP_TOL * float(np.max(np.abs(V), initial=0.0)):
+        raise NumericalError(f"V has a negative entry {low:.3e} beyond roundoff dust")
+    return np.maximum(V, 0.0), max(0.0, -low)
 
 
-def lift_rank_plus_one(A, B) -> Factorization:
-    """Exact factorization of A @ B with nonnegative right factor and rank + 1 width.
+def lift_rank_plus_one(A, B):
+    """Exact factor pair (U, V) of A @ B with V >= 0 and rank + 1 width.
 
     U = [A, -A e];  V stacks B over a zero row and shifts each column j by
     max(0, -min_i B_ij), which cancels in the product because the columns
-    of U sum to zero.
+    of U sum to zero.  The shift leaves no entry of V negative.
     """
     A = as_matrix(A, "A")
     B = as_matrix(B, "B")
@@ -98,8 +91,9 @@ def lift_rank_plus_one(A, B) -> Factorization:
     k, n = B.shape
     U = np.hstack([A, -A.sum(axis=1, keepdims=True)])
     shift = np.maximum(0.0, -B.min(axis=0, initial=0.0))
-    V = np.vstack([B, np.zeros((1, n))]) + shift
-    return make_factorization(A @ B, U, V)
+    # -0.0 entries (sign_flip's negated zeros, say) can survive the shift; make them +0.0
+    V = np.maximum(np.vstack([B, np.zeros((1, n))]) + shift, 0.0)
+    return U, V
 
 
 def sign_flip(A, B):
@@ -119,8 +113,10 @@ def sign_flip(A, B):
     return A, B
 
 
-def exact_semi_nmf_same_rank(A, B, y) -> Factorization:
-    """Rank-preserving exact factorization A @ B = U @ V with V >= 0.
+def exact_semi_nmf_same_rank(A, B, y):
+    """Rank-preserving exact factor pair A @ B = U @ V with V >= 0.
+
+    Returns (U, V, clamped), the dust zeroed out of V (``_clamp_dust``).
 
     Requires x = B.T y > 0 on the nonzero columns of B (y comes from a
     half-space certificate) and every row of B to have a positive
@@ -140,7 +136,7 @@ def exact_semi_nmf_same_rank(A, B, y) -> Factorization:
     if A.shape[1] != r or y.shape != (r,):
         raise ValueError("A, B, y have inconsistent shapes")
     if r == 0:
-        return make_factorization(A @ B, A.copy(), B.copy())
+        return A.copy(), B.copy(), 0.0
 
     keep = nonzero_columns(B)
     if B[:, keep].size and B[:, keep].max(axis=1).min() <= 0.0:
@@ -160,8 +156,9 @@ def exact_semi_nmf_same_rank(A, B, y) -> Factorization:
 
     V = B + np.outer(alpha, x)
     V[:, ~keep] = 0.0
+    V, clamped = _clamp_dust(V)
     U = A - np.outer(A @ alpha, y) / (1.0 + ya)
-    return make_factorization(A @ B, U, V)
+    return U, V, clamped
 
 
 @dataclass(frozen=True)
@@ -215,13 +212,11 @@ def semi_rank(M) -> SemiRankReport:
         cert = replace(cert, support=np.flatnonzero(keep)[cert.support])
 
     if cert.feasible:
-        inner = exact_semi_nmf_same_rank(A, B, cert.z)
+        U, V, clamped = exact_semi_nmf_same_rank(A, B, cert.z)
         rs = r
     else:
-        inner = lift_rank_plus_one(A, B)
-        rs = r + 1
+        U, V = lift_rank_plus_one(A, B)
+        clamped, rs = 0.0, r + 1
     # both constructions already return exactly +0.0 on the columns outside keep
-    fact = Factorization(
-        U=inner.U * s, V=inner.V, frob_error=frob(M - inner.U @ inner.V) * s, clamped=inner.clamped
-    )
+    fact = Factorization(U=U * s, V=V, frob_error=frob(M - U @ V) * s, clamped=clamped)
     return SemiRankReport(rank=r, semi_rank=rs, certificate=cert, factorization=fact)

@@ -88,8 +88,7 @@ def _a2_start(svd: Svd, r: int):
     if r > svd.S.size:
         m, n = svd.U.shape[0], svd.Vt.shape[1]
         raise ValueError(f"r={r} out of range for a {m}x{n} matrix")
-    fact = lift_rank_plus_one(*sign_flip(*svd.pair(r - 1)))
-    return fact.U, fact.V
+    return lift_rank_plus_one(*sign_flip(*svd.pair(r - 1)))
 
 
 def _a3_start(M, svd: Svd, r: int):
@@ -97,9 +96,9 @@ def _a3_start(M, svd: Svd, r: int):
     bis = bisection_epsilon(B)
     # y* is certified on B + eps* (B + 0.0 at eps* = 0, where the exact U
     # makes U0 @ V0 the rank-r truncation A @ B itself)
-    fact = exact_semi_nmf_same_rank(A, B + bis.epsilon_star, bis.y_star)
-    U0 = fact.U if bis.epsilon_star == 0.0 else least_squares_left(M, fact.V)
-    return U0, fact.V, bis
+    U, V0, _ = exact_semi_nmf_same_rank(A, B + bis.epsilon_star, bis.y_star)
+    U0 = U if bis.epsilon_star == 0.0 else least_squares_left(M, V0)
+    return U0, V0, bis
 
 
 def init_a2(M, r: int):

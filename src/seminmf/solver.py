@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError
-from .factors import make_factorization
+from .factors import Factorization
 from .linalg import as_matrix, least_squares_left, pow2_scale, thin_svd
 
 __all__ = ["SolveTrace", "cd_semi_nmf", "cd_semi_nmf_stack"]
@@ -217,5 +217,6 @@ def cd_semi_nmf_stack(M, V0s, max_iter: int) -> list:
         )
         # Ut[k].T, not U[k]: a failed start's removal copies Ut, and only
         # Ut's items keep the solve's layout through the copy
-        results[j] = (make_factorization(M, Ut[k].T * s, V[k]), trace)
+        fact = Factorization(U=Ut[k].T * s, V=V[k], frob_error=float(trace.errors[-1]))
+        results[j] = (fact, trace)
     return results

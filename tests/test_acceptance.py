@@ -155,9 +155,9 @@ def test_criterion_2_lift_property():
         m, k, n = (int(v) for v in rng.integers(1, 21, size=3))
         A = rng.standard_normal((m, k))
         B = rng.standard_normal((k, n))
-        fact = lift_rank_plus_one(A, B)
-        assert fact.V.min() >= 0.0
-        assert fact.frob_error <= 1e-10 * max(np.linalg.norm(A @ B), 1e-30)
+        U, V = lift_rank_plus_one(A, B)
+        assert V.min() >= 0.0
+        assert np.linalg.norm(A @ B - U @ V) <= 1e-10 * max(np.linalg.norm(A @ B), 1e-30)
     dt = time.perf_counter() - t0
     assert report(2, dt < 5.0, f"(1000 pairs, {dt:.1f}s < 5s)")
 

@@ -102,6 +102,12 @@ class TestTrialConfig:
             with pytest.raises(ValueError, match="delta"):
                 TrialConfig("noisy_semi", 5, 5, 2, delta=delta)
 
+    def test_rejects_fields_the_generator_ignores(self):
+        with pytest.raises(ValueError, match="delta: nonnegative ignores it"):
+            TrialConfig("nonnegative", 50, 100, 10, delta=5.0)
+        with pytest.raises(ValueError, match="inner_dim: noisy_semi ignores it"):
+            TrialConfig("noisy_semi", 50, 100, 10, delta=5.0, inner_dim=7)
+
     def test_default_name(self):
         cfg = TrialConfig("noisy_semi", 5, 6, 2, delta=math.inf)
         assert cfg.name == "noisy_semi-m5-n6-r2-dinf"

@@ -143,19 +143,23 @@ class TestFactorize:
         assert float(qline.split("=")[1]) <= 1e-6
         assert read_matrix(v).min() >= 0.0
 
-    def test_trace_written(self, tmp_path):
+    def test_trace_written(self, tmp_path, capsys):
         p = tmp_path / "m.csv"
         write_csv(p, random_gaussian(6, 9, seed=3))
         tr = tmp_path / "trace.csv"
-        assert main(["factorize", str(p), "--rank", "2", "--init", "rd",
-                     "--maxiter", "7", "--trace", str(tr)]) == 0
-        lines = tr.read_text().strip().splitlines()
-        assert lines[0] == "iteration,frob_error,quality"
-        assert len(lines) == 1 + 8  # init entry + 7 iterations
-        for t, line in enumerate(lines[1:]):
-            it, err, qual = line.split(",")
-            assert int(it) == t
-            assert float(err) >= 0.0 and float(qual) >= 0.0
+        for init in ("rd", "a3"):
+            assert main(["factorize", str(p), "--rank", "2", "--init", init,
+                         "--maxiter", "7", "--trace", str(tr)]) == 0
+            lines = tr.read_text().strip().splitlines()
+            assert lines[0] == "iteration,frob_error,quality"
+            assert len(lines) == 1 + 8  # init entry + 7 iterations
+            for t, line in enumerate(lines[1:]):
+                it, err, qual = line.split(",")
+                assert int(it) == t
+                assert float(err) >= 0.0 and float(qual) >= 0.0
+            # the printed error is the trace's last row, bit for bit
+            out = dict(line.split("=") for line in capsys.readouterr().out.split())
+            assert float(out["frob_error"]) == float(lines[-1].split(",")[1])
 
     @staticmethod
     def _factorize(path, init, capsys):
@@ -295,6 +299,7 @@ class TestBench:
             "generator=warp m=0 n=5 r=9 delta=maybe strategies=rd,zz\n"
             "generator=noisy_semi m=8 n=10 r=2 delta=nan\n"
             "generator=noisy_semi m=8 n=10 r=2 delta=-inf\n"
+            "generator=semi_nonneg m=20 n=30 r=2 delta=5\n"
         )
         assert main(["bench", "--suite", str(suite), "--trials", "1", "--out", "/dev/null"]) == 2
         err = capsys.readouterr().err
@@ -302,6 +307,7 @@ class TestBench:
             assert field in err
         assert "suite line 2: delta: nan invalid" in err
         assert "suite line 3: delta: -inf invalid" in err
+        assert "suite line 4: delta: semi_nonneg ignores it (noisy_semi only)" in err
 
     @pytest.mark.parametrize(
         "line, message",

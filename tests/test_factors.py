@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from seminmf.exceptions import NumericalError
 from seminmf.factors import (
+    _clamp_dust,
     exact_semi_nmf_same_rank,
     lift_rank_plus_one,
-    make_factorization,
     semi_rank,
     sign_flip,
 )
@@ -23,41 +24,42 @@ TIGHT_2x3 = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
 ASYM_3x3 = np.array([[-1.0, 0.0, -1.0], [0.0, -1.0, -1.0], [1.0, 1.0, 2.0]])
 
 
-class TestMakeFactorization:
-    def test_clamps_dust(self):
-        M = np.ones((2, 2))
-        V = np.array([[1.0, -1e-13], [0.0, 1.0]])
-        fact = make_factorization(M, np.eye(2), V)
-        assert fact.V.min() == 0.0
-        assert fact.clamped == pytest.approx(1e-13)
+# dust is measured against max|V| alone, so the verdict does not depend on
+# the scale of V: at 2**-600 an entry of -max|V|/2 is still rejected
+@pytest.mark.parametrize("k", [-600, 0, 600])
+class TestClampDust:
+    def test_clamps_dust(self, k):
+        V, clamped = _clamp_dust(np.ldexp([[1.0, -1e-13], [0.0, 1.0]], k))
+        assert V.min() == 0.0
+        assert clamped == np.ldexp(1e-13, k)
 
-    def test_rejects_genuine_negative(self):
-        with pytest.raises(ValueError, match="negative"):
-            make_factorization(np.ones((2, 2)), np.eye(2), np.array([[1.0, -0.5], [0.0, 1.0]]))
+    def test_rejects_genuine_negative(self, k):
+        with pytest.raises(NumericalError, match="negative"):
+            _clamp_dust(np.ldexp([[1.0, -0.5], [0.0, 1.0]], k))
 
 
 class TestLift:
     def test_hand_worked_example(self):
         A = np.array([[1.0], [1.0]])
         B = np.array([[1.0, -1.0]])
-        fact = lift_rank_plus_one(A, B)
-        np.testing.assert_allclose(fact.U, [[1.0, -1.0], [1.0, -1.0]])
-        np.testing.assert_allclose(fact.V, [[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_allclose(fact.U @ fact.V, A @ B, atol=1e-15)
+        U, V = lift_rank_plus_one(A, B)
+        np.testing.assert_allclose(U, [[1.0, -1.0], [1.0, -1.0]])
+        np.testing.assert_allclose(V, [[1.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_allclose(U @ V, A @ B, atol=1e-15)
 
     def test_nonnegative_b_gets_no_shift(self):
         A = random_gaussian(4, 2, seed=1)
         B = random_uniform(2, 5, seed=2)
-        fact = lift_rank_plus_one(A, B)
-        np.testing.assert_allclose(fact.V[:2], B)
-        np.testing.assert_allclose(fact.V[2], 0.0)
+        _, V = lift_rank_plus_one(A, B)
+        np.testing.assert_allclose(V[:2], B)
+        np.testing.assert_allclose(V[2], 0.0)
 
     def test_exact_product_and_nonnegativity(self):
         A = random_gaussian(5, 3, seed=3)
         B = random_gaussian(3, 8, seed=4)
-        fact = lift_rank_plus_one(A, B)
-        assert fact.V.min() >= 0.0
-        assert fact.frob_error <= 1e-10 * np.linalg.norm(A @ B)
+        U, V = lift_rank_plus_one(A, B)
+        assert V.min() >= 0.0
+        assert np.linalg.norm(A @ B - U @ V) <= 1e-10 * np.linalg.norm(A @ B)
 
     def test_property_sweep(self):
         # exactness and nonnegativity across many shapes (acceptance-grade)
@@ -66,9 +68,9 @@ class TestLift:
             m, k, n = rng.integers(1, 21, size=3)
             A = rng.standard_normal((m, k))
             B = rng.standard_normal((k, n))
-            fact = lift_rank_plus_one(A, B)
-            assert fact.V.min() >= 0.0
-            assert fact.frob_error <= 1e-10 * max(np.linalg.norm(A @ B), 1e-30)
+            U, V = lift_rank_plus_one(A, B)
+            assert V.min() >= 0.0
+            assert np.linalg.norm(A @ B - U @ V) <= 1e-10 * max(np.linalg.norm(A @ B), 1e-30)
 
 
 class TestSignFlip:
@@ -105,9 +107,9 @@ class TestExactSameRank:
         A = random_gaussian(5, 3, seed=5)
         B = random_uniform(3, 7, seed=6) + 0.05
         y = np.ones(3) / B.sum(axis=0).min() * 1.01  # positive-margin witness
-        fact = exact_semi_nmf_same_rank(A, B, y)
-        np.testing.assert_allclose(fact.V, B, atol=1e-12)
-        np.testing.assert_allclose(fact.U, A, atol=1e-12)
+        U, V, _ = exact_semi_nmf_same_rank(A, B, y)
+        np.testing.assert_allclose(V, B, atol=1e-12)
+        np.testing.assert_allclose(U, A, atol=1e-12)
 
     def test_fixture_rank2(self):
         rep = semi_rank(ASYM_3x3)
@@ -136,9 +138,9 @@ class TestExactSameRank:
         # x = B'y = (3 - 1e-13, 1e-13): alpha divides by x_2 itself, so the
         # -1 entry clears exactly and no V entry is clamped as dust
         A, B = np.eye(2), np.array([[1.0, -1.0], [1.0, 2.0]])
-        fact = exact_semi_nmf_same_rank(A, B, np.array([2.0 - 1e-13, 1.0]))
-        assert fact.clamped == 0.0
-        assert fact.frob_error == 0.0
+        U, V, clamped = exact_semi_nmf_same_rank(A, B, np.array([2.0 - 1e-13, 1.0]))
+        assert clamped == 0.0
+        assert np.linalg.norm(A @ B - U @ V) == 0.0
 
     def test_requires_positive_row_max(self):
         A = np.eye(2)
@@ -177,9 +179,9 @@ def test_nnls_witness_on_the_pole(rows):
     A, B = sign_flip(*thin_svd(M).pair(2))
     cert = nnls_certificate(B[:, nonzero_columns(B)])
     assert cert.feasible and cert.method == "nnls"
-    fact = exact_semi_nmf_same_rank(A, B, cert.z)
-    assert fact.V.min() >= 0.0
-    assert np.linalg.norm(M - fact.U @ fact.V) <= 1e-9 * np.linalg.norm(M)
+    U, V, _ = exact_semi_nmf_same_rank(A, B, cert.z)
+    assert V.min() >= 0.0
+    assert np.linalg.norm(M - U @ V) <= 1e-9 * np.linalg.norm(M)
 
 
 def test_centroid_witness_on_the_pole():
@@ -195,9 +197,9 @@ def test_centroid_witness_on_the_pole():
     assert x.min() > 0.0
     alpha = np.maximum(0.0, (-C / x).max(axis=1))
     assert abs(1.0 + y @ alpha) < 0.5
-    fact = exact_semi_nmf_same_rank(A, B, y)
-    assert fact.V.min() >= 0.0
-    assert np.linalg.norm(M - fact.U @ fact.V) <= 1e-9 * np.linalg.norm(M)
+    U, V, _ = exact_semi_nmf_same_rank(A, B, y)
+    assert V.min() >= 0.0
+    assert np.linalg.norm(M - U @ V) <= 1e-9 * np.linalg.norm(M)
 
 
 class TestSemiRank:
