@@ -10,9 +10,11 @@ Gillis & Glineur (Neural Computation 2012) applied to the one
 nonnegative factor: with G = U'U and P = U'M formed once per iteration,
 row i becomes max(0, V[i] + (P[i] - G[i] V) / G[i, i]), which is the
 same minimizer as max(0, (M - U V + u_i V[i])' u_i / ||u_i||^2) at
-O(r n) per row instead of O(m n).  The error is taken once per
-iteration from the explicit residual ||M - U V||_F, never from Gram
-quantities, which cancel near an exact fit.
+O(r n) per row instead of O(m n).  A degenerate row, whose ||u_i||^2 is
+at or below DEGENERATE_RTOL ||U||_F^2 (U = 0 included), divides by inf
+instead and so takes a zero step.  The error is taken once per iteration
+from the explicit residual ||M - U V||_F, never from Gram quantities,
+which cancel near an exact fit.
 
 Several starts on one M are solved as a stack.  V is held as (s, r, n),
 and each iteration makes one batched least-squares solve for U, one
@@ -28,9 +30,8 @@ BLAS result can depend on strides: a C-ordered copy of U changes U'M in
 the last bit, and a row stride of s n instead of n in V changes G[i] V.
 So V[k] is a C-ordered r x n block, and U[k] is the transpose of the
 solve's C-ordered output, as ``least_squares_left`` returns it.  The
-re-seed, the skipped degenerate rows and the failure rule stay per
-start: a start whose residual norm is not finite fails alone and leaves
-the stack.
+re-seed and the failure rule stay per start: a start whose residual
+norm is not finite fails alone and leaves the stack.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .linalg import as_matrix, least_squares_left, pow2_scale, thin_svd
 
 __all__ = ["SolveTrace", "cd_semi_nmf", "cd_semi_nmf_stack"]
 
-# squared column norms below DEGENERATE_RTOL * ||U||_F^2 skip their row update
+# squared column norms at or below DEGENERATE_RTOL * ||U||_F^2 are degenerate
 DEGENERATE_RTOL = 1e-14
 
 
@@ -98,7 +99,8 @@ def cd_semi_nmf(M, V0, max_iter: int):
     ----------
     M : array_like, shape (m, n)
     V0 : array_like, shape (r, n)
-        Nonnegative start for the right factor; no all-zero rows.
+        Nonnegative start for the right factor; all-zero rows, even all
+        of them, are re-seeded to the residual's leading direction.
     max_iter : int
         Number of full iterations (values between 100 and 500 are
         typical).  Always runs exactly this many.
@@ -138,8 +140,6 @@ def cd_semi_nmf_stack(M, V0s, max_iter: int) -> list:
         raise ValueError("max_iter must be >= 1")
     if not V0s:
         return []
-    # all-zero V0 rows are tolerated: they surface as degenerate U columns
-    # and get re-seeded to the residual's leading direction
 
     start = time.perf_counter()
     results: list = [None] * len(V0s)
@@ -157,33 +157,29 @@ def cd_semi_nmf_stack(M, V0s, max_iter: int) -> list:
         t1 = time.perf_counter()
         G = Ut @ U
         norms2, total = _column_norms(G)
-        act = norms2 >= DEGENERATE_RTOL * total[:, None]
+        act = norms2 > DEGENERATE_RTOL * total[:, None]
         if not act.all():
             for k in np.flatnonzero(~act.all(axis=1)):
-                degenerate = norms2[k] < DEGENERATE_RTOL * total[k]
+                # not ~act[k]: a NaN column is neither active nor re-seeded
+                degenerate = norms2[k] <= DEGENERATE_RTOL * total[k]
                 if _reseed_zero_rows(X, U[k], V[k], degenerate):
                     G[k] = Ut[k] @ U[k]
             norms2, total = _column_norms(G)
-            act = norms2 >= DEGENERATE_RTOL * total[:, None]
+            act = norms2 > DEGENERATE_RTOL * total[:, None]
         P = Ut @ X
-        # G[k, i, i] repeated along row i, so that no update broadcasts
-        D = np.repeat(norms2, V.shape[2], axis=1).reshape(V.shape)
-        all_active = act.all(axis=0).tolist()
+        # G[k, i, i] repeated along row i, so that no update broadcasts; a
+        # degenerate row divides by inf and so takes a zero step
+        D = np.repeat(np.where(act, norms2, np.inf), V.shape[2], axis=1).reshape(V.shape)
         out = np.empty((len(live), 1, V.shape[2]))
         o = out[:, 0]
         # step i yields row i of every start, G[:, i:i+1], P[:, i], D[:, i]
         # and V[:, i], as views made without indexing in the loop
-        rows = zip(*(a.swapaxes(0, 1) for a in (G[:, :, None], P, D, V)))
-        for i, (g, p, d, row) in enumerate(rows):
-            if all_active[i]:
-                np.matmul(g, V, out=out)
-                np.subtract(p, o, out=o)
-                np.divide(o, d, out=o)
-                np.add(row, o, out=o)
-                np.maximum(0.0, o, out=row)
-                continue
-            for k in np.flatnonzero(act[:, i]):
-                V[k, i] = np.maximum(0.0, V[k, i] + (P[k, i] - G[k, i] @ V[k]) / G[k, i, i])
+        for g, p, d, row in zip(*(a.swapaxes(0, 1) for a in (G[:, :, None], P, D, V))):
+            np.matmul(g, V, out=out)
+            np.subtract(p, o, out=o)
+            np.divide(o, d, out=o)
+            np.add(row, o, out=o)
+            np.maximum(0.0, o, out=row)
         u_norms[:, it] = np.sqrt(total)
         t2 = time.perf_counter()
         R = U @ V

@@ -90,7 +90,7 @@ def residual_row_update(M, U, V, i: int) -> np.ndarray:
         raise ValueError("row index out of range or U, V not conformable")
     u = U[:, i]
     nu2 = float(u @ u)
-    if nu2 < DEGENERATE_RTOL * float(np.sum(U * U)):
+    if nu2 <= DEGENERATE_RTOL * float(np.sum(U * U)):
         raise ValueError(f"column {i} of U is numerically zero")
     Ri = M - U @ V + np.outer(u, V[i])
     return np.maximum(0.0, (Ri.T @ u) / nu2)

@@ -10,9 +10,12 @@ from seminmf.bench import (
     gen_noisy_semi,
     gen_nonnegative,
     gen_semi_nonneg,
+    json_safe,
     quality,
     quality_from_error,
     run_experiment,
+    run_starts,
+    summarize,
 )
 from seminmf.factors import semi_rank
 from seminmf.halfspace import halfspace_feasible
@@ -87,6 +90,18 @@ class TestGenerators:
     def test_deterministic(self):
         assert np.array_equal(gen_noisy_semi(5, 6, 2, 1.0, seed=7), gen_noisy_semi(5, 6, 2, 1.0, seed=7))
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: gen_semi_nonneg(5, 6, 6, seed=0), "k=6 out of range for 5x6"),
+            (lambda: gen_noisy_semi(5, 6, 2, -1.0, seed=0), "delta must be >= 0"),
+        ],
+        ids=["k", "delta"],
+    )
+    def test_rejects_bad_arguments(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
 
 class TestTrialConfig:
     def test_validates_generator(self):
@@ -107,6 +122,19 @@ class TestTrialConfig:
             TrialConfig("nonnegative", 50, 100, 10, delta=5.0)
         with pytest.raises(ValueError, match="inner_dim: noisy_semi ignores it"):
             TrialConfig("noisy_semi", 50, 100, 10, delta=5.0, inner_dim=7)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"r": 6}, "r: 6 out of range for 5x5"),
+            ({"max_iter": 0}, "max_iter: must be >= 1"),
+            ({"max_iter": 10, "checkpoints": (5, 11)}, r"checkpoints: must lie in \[0, 10\]"),
+        ],
+        ids=["r", "max_iter", "checkpoints"],
+    )
+    def test_rejects_bad_field(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            TrialConfig(**{"generator": "nonnegative", "m": 5, "n": 5, "r": 2, **fields})
 
     def test_default_name(self):
         cfg = TrialConfig("noisy_semi", 5, 6, 2, delta=math.inf)
@@ -147,6 +175,34 @@ class TestRunExperiment:
         by_strategy = {r.strategy: r for r in recs}
         assert by_strategy["a2"].error is not None  # a2 cannot run at r = 1
         assert by_strategy["a3"].error is None
+
+    @pytest.mark.parametrize(
+        "run, message",
+        [
+            (lambda M: run_starts(M, 2, [], 0, thin_svd(M)), "max_iter must be >= 1"),
+            (lambda M: run_experiment([TestRunExperiment.CFG], 0, 1), "trials must be >= 1"),
+        ],
+        ids=["max_iter", "trials"],
+    )
+    def test_rejects_bad_counts(self, run, message):
+        with pytest.raises(ValueError, match=message):
+            run(random_gaussian(4, 5, seed=0))
+
+    def test_summary_of_failed_runs(self):
+        # a strategy whose every run failed has no quantiles
+        cfg = TrialConfig(
+            "nonnegative", 6, 8, 1, strategies=("a2", "a3"), max_iter=5, checkpoints=(5,)
+        )
+        summary = summarize(run_experiment([cfg], trials=2, master_seed=4))[cfg.name]
+        assert summary["a2"] == {"final": {"count": 0}, "iter_5": {"count": 0}, "failures": 2}
+        assert summary["a3"]["final"]["count"] == 2
+
+    @pytest.mark.parametrize(
+        "x, want",
+        [(math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"), (1.5, 1.5), (None, None)],
+    )
+    def test_json_safe(self, x, want):
+        assert json_safe(x) == want
 
     def test_seeds_pinned(self):
         # SeedSequence gives these on every platform: a success row carries

@@ -183,6 +183,17 @@ class TestFactorize:
         assert np.ldexp(err_k, -k) == pytest.approx(err, rel=1e-12)
         assert qual_k == pytest.approx(qual, rel=1e-12)
 
+    @pytest.mark.parametrize("init", ["rd", "km", "a2", "a3"])
+    def test_zero_matrix(self, tmp_path, capsys, init):
+        # U = 0 at every iteration: each column is degenerate and its row
+        # takes a zero step, so the optimum 0 is reached with no 0/0
+        p = tmp_path / "zero.csv"
+        write_csv(p, np.zeros((4, 6)))
+        assert main(["factorize", str(p), "--rank", "2", "--init", init]) == 0
+        out = dict(line.split("=") for line in capsys.readouterr().out.split())
+        assert float(out["frob_error"]) == 0.0
+        assert float(out["quality"]) == 0.0
+
     def test_numerical_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         def fail(M, V0s, max_iter):
             return [NumericalError("non-finite residual") for _ in V0s]
@@ -315,14 +326,40 @@ class TestBench:
             ("generator=noisy_semi m=abc n=10 r=2 delta=1", "m: expected integer, got 'abc'"),
             ("generator=semi_nonneg m=8 n=10 r=x", "r: expected integer, got 'x'"),
             ("generator=nonnegative m=8 n=10 r=2 restarts=2", "unknown key 'restarts'"),
+            ("generator=nonnegative m=8 n=10 r=2 fast", "token 'fast' is not key=value"),
         ],
-        ids=["m", "inner_dim-default", "restarts"],
+        ids=["m", "inner_dim-default", "restarts", "token"],
     )
     def test_bad_field_reported_once(self, tmp_path, capsys, line, message):
         suite = tmp_path / "bad.cfg"
         suite.write_text(line + "\n")
         assert main(["bench", "--suite", str(suite), "--trials", "1", "--out", "/dev/null"]) == 2
         assert capsys.readouterr().err == f"error: suite line 1: {message}\n"
+
+    @pytest.mark.parametrize(
+        "text, args, message",
+        [
+            ("# only a comment\n\n", [], "no suite configs found"),
+            (SUITE_TEXT, ["--trials", "0"], "--trials must be >= 1"),
+            (SUITE_TEXT, ["--jobs", "0"], "--jobs must be >= 1"),
+        ],
+        ids=["no-configs", "trials", "jobs"],
+    )
+    def test_usage_errors(self, tmp_path, capsys, text, args, message):
+        suite = tmp_path / "suite.cfg"
+        suite.write_text(text)
+        args = ["bench", "--suite", str(suite), "--trials", "1", "--out", "/dev/null", *args]
+        assert main(args) == 2
+        assert message in capsys.readouterr().err
+
+    def test_csv_on_stdout_without_out(self, tmp_path, capsys):
+        suite = tmp_path / "suite.cfg"
+        suite.write_text(SUITE_TEXT)
+        out = tmp_path / "r.csv"
+        assert main(["bench", "--suite", str(suite), "--trials", "1", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["bench", "--suite", str(suite), "--trials", "1"]) == 0
+        assert capsys.readouterr().out == out.read_text()
 
     def test_needs_exactly_one_source(self, capsys):
         assert main(["bench", "--trials", "1"]) == 2

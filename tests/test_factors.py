@@ -142,6 +142,27 @@ class TestExactSameRank:
         assert clamped == 0.0
         assert np.linalg.norm(A @ B - U @ V) == 0.0
 
+    def test_rank_zero_is_returned_unchanged(self):
+        A, B = np.zeros((3, 0)), np.zeros((0, 4))
+        U, V, clamped = exact_semi_nmf_same_rank(A, B, np.zeros(0))
+        assert U.shape == (3, 0) and V.shape == (0, 4) and clamped == 0.0
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: lift_rank_plus_one(np.ones((3, 2)), np.ones((3, 4))), "not conformable"),
+            (lambda: sign_flip(np.ones((3, 2)), np.ones((3, 4))), "not conformable"),
+            (lambda: exact_semi_nmf_same_rank(np.ones((3, 2)), np.ones((2, 4)), np.ones(3)),
+             "inconsistent shapes"),
+            (lambda: exact_semi_nmf_same_rank(np.ones((3, 2)), np.ones((2, 4)), -np.ones(2)),
+             "does not satisfy B.T y > 0"),
+        ],
+        ids=["lift", "sign_flip", "same_rank-shapes", "same_rank-witness"],
+    )
+    def test_rejects_inconsistent_input(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_requires_positive_row_max(self):
         A = np.eye(2)
         B = np.array([[-1.0, -2.0], [1.0, 2.0]])

@@ -162,6 +162,18 @@ class TestDispatch:
             if kind == "a3":
                 assert res.bisection is not None
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda M: init_rd(M, 0, seed=0), "r must be >= 1"),
+            (lambda M: init_a2(M, 6), "r=6 out of range for a 5x7 matrix"),
+        ],
+        ids=["rd", "a2"],
+    )
+    def test_rejects_rank_out_of_range(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(random_gaussian(5, 7, seed=16))
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown strategy"):
             InitStrategy(kind="xx")

@@ -146,6 +146,12 @@ class TestLeastSquaresLeft:
         with pytest.raises(ValueError, match="column mismatch"):
             least_squares_left(np.ones((2, 3)), np.ones((2, 4)))
 
+    def test_rejects_non_finite_stack(self):
+        V = np.ones((2, 2, 3))
+        V[1, 0, 2] = np.nan
+        with pytest.raises(ValueError, match="V contains NaN or Inf entries"):
+            least_squares_left(np.ones((2, 3)), V)
+
     def test_qr_path_matches_lstsq_when_ill_conditioned(self, lstsq_calls):
         # V = Q1 diag(s) Q2' with cond(V) = 1e6 still takes the QR path
         Q1, _ = np.linalg.qr(random_gaussian(8, 8, seed=30))
@@ -208,8 +214,9 @@ class TestRandom:
 
     @pytest.mark.parametrize("m,n", [(0, 3), (3, 0), (-1, 2)])
     def test_bad_dims(self, m, n):
-        with pytest.raises(ValueError):
-            random_uniform(m, n, seed=0)
+        for draw in (random_uniform, random_gaussian):
+            with pytest.raises(ValueError, match=f"dimensions must be positive, got {m}x{n}"):
+                draw(m, n, seed=0)
 
     def test_bad_seed(self):
         with pytest.raises(ValueError, match="64-bit"):

@@ -38,6 +38,11 @@ class TestCsv:
         with pytest.raises(ValueError, match="empty"):
             read_csv(p)
 
+    def test_blank_lines_skipped(self, tmp_path):
+        p = tmp_path / "blank.csv"
+        p.write_text("1,2\n\n3,4\n\n")
+        np.testing.assert_array_equal(read_csv(p), [[1.0, 2.0], [3.0, 4.0]])
+
     def test_nan_rejected(self, tmp_path):
         p = tmp_path / "nan.csv"
         p.write_text("1,nan\n2,3\n")
@@ -108,6 +113,23 @@ class TestMatrixMarket:
         with pytest.raises(ValueError, match="malformed"):
             read_mm(p)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("vector real general\n1 1\n1\n", "unsupported MatrixMarket format 'vector'"),
+            ("array complex general\n1 1\n1 0\n", "unsupported MatrixMarket field 'complex'"),
+            ("array real hermitian\n1 1\n1\n", "unsupported MatrixMarket symmetry 'hermitian'"),
+            ("array real general\n% a comment\n", "missing size line"),
+            ("array real general\n2 2\n1\n2\n3\n", "entry count does not match dimensions"),
+        ],
+        ids=["format", "field", "symmetry", "size-line", "array-count"],
+    )
+    def test_rejected_with_message(self, tmp_path, text, message):
+        p = tmp_path / "bad.mtx"
+        p.write_text("%%MatrixMarket matrix " + text)
+        with pytest.raises(ValueError, match=message):
+            read_mm(p)
+
     def test_out_of_bounds_rejected(self, tmp_path):
         p = tmp_path / "bad.mtx"
         p.write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n")
@@ -136,6 +158,19 @@ class TestSniffing:
         write_matrix(pc, M)
         assert pm.read_text().startswith("%%MatrixMarket")
         assert "," in pc.read_text()
+
+    def test_reads_mm_by_extension(self, tmp_path):
+        # a .mtx path is read as MatrixMarket without opening it to sniff
+        M = random_gaussian(2, 3, seed=5)
+        p = tmp_path / "m.mtx"
+        write_mm(p, M)
+        assert np.array_equal(read_matrix(p), M)
+
+    def test_unreadable_path_is_not_sniffed_as_mm(self, tmp_path):
+        # a directory exists but cannot be opened: the sniff answers no and
+        # the CSV reader reports the operating system's error
+        with pytest.raises(IsADirectoryError, match="Is a directory"):
+            read_matrix(tmp_path)
 
     def test_missing_file(self):
         with pytest.raises(ValueError, match="no such file"):

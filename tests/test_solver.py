@@ -111,6 +111,10 @@ class TestCdSemiNmf:
         with pytest.raises(ValueError, match="nonnegative"):
             cd_semi_nmf(np.ones((2, 3)), -np.ones((2, 3)), max_iter=1)
 
+    def test_rejects_column_mismatch(self):
+        with pytest.raises(ValueError, match="same number of columns"):
+            cd_semi_nmf(np.ones((2, 3)), np.ones((2, 4)), max_iter=1)
+
     def test_rejects_bad_maxiter(self):
         with pytest.raises(ValueError, match="max_iter"):
             cd_semi_nmf(np.ones((2, 3)), np.ones((2, 3)), max_iter=0)
@@ -118,12 +122,15 @@ class TestCdSemiNmf:
     def test_zero_v0_row_recovers(self):
         # a zero V0 row yields a zero U column after the first solve; the
         # re-seed gives it the leading residual direction and the row
-        # becomes active without breaking descent
+        # becomes active without breaking descent.  An all-zero V0 gives
+        # U = 0, whose every column is degenerate (0 <= 1e-14 * 0) and is
+        # re-seeded rather than divided by its zero norm
         M, V0 = zero_v0_row_input()
-        fact, trace = cd_semi_nmf(M, V0, max_iter=40)
-        slack = monotone_slack(trace.errors, M)
-        assert np.all(np.diff(trace.errors) <= slack)
-        assert np.linalg.norm(fact.V[2]) > 0
+        for V0 in (V0, np.zeros((1, 9)), np.zeros((3, 9))):
+            fact, trace = cd_semi_nmf(M, V0, max_iter=40)
+            slack = monotone_slack(trace.errors, M)
+            assert np.all(np.diff(trace.errors) <= slack)
+            assert np.linalg.norm(fact.V[-1]) > 0
 
     def test_u_norms_grow_on_an_unattained_infimum(self):
         # ILL_POSED_2x3 has no best width-2 semi-NMF: the error keeps
@@ -189,6 +196,12 @@ class TestOneIteration:
         assert skipped == [2]
         np.testing.assert_array_equal(fact.V[2], V0[2])
         assert np.any(fact.V[:2] != V0[:2])
+        # M = 0 gives U = 0: every column is degenerate, and the nonzero V0
+        # rows are neither re-seeded nor divided by a zero norm
+        V0 = random_uniform(3, 8, seed=84)
+        skipped, fact = self.check(np.zeros((5, 8)), V0)
+        assert skipped == [0, 1, 2]
+        np.testing.assert_array_equal(fact.V, V0)
 
 
 class TestUSolveBranch:
@@ -248,23 +261,31 @@ class TestStack:
     def test_reseed_skip_and_failure_stay_per_start(self, monkeypatch, lstsq_calls):
         # on one M: a generic start, a zero V0 row (one lstsq fallback and
         # a re-seed), a degenerate U column (row 2 skipped on that start
-        # only) and a start whose U turns NaN at iteration 5
+        # only), a start whose U turns NaN at iteration 5 and an all-zero
+        # V0 (U = 0 at the first solve, every column re-seeded)
         M, V0_degenerate = degenerate_column_input()
         V0_zero_row = random_uniform(3, 12, seed=94)
         V0_zero_row[2] = 0.0
         V0s = [random_uniform(3, 12, seed=93), V0_zero_row, V0_degenerate,
-               random_uniform(3, 12, seed=95)]
+               random_uniform(3, 12, seed=95), np.zeros((3, 12))]
         alone = [cd_semi_nmf(M, V0, 40) for V0 in V0s[:3]]
         assert len(lstsq_calls) == 1
         assert np.any(alone[1][0].V[2] != 0.0)  # re-seeded
-        first = cd_semi_nmf_stack(M, V0s, 1)
+        first = cd_semi_nmf_stack(M, V0s[:4], 1)
         for k, (fact, _) in enumerate(first):
             assert np.array_equal(fact.V[2], V0s[k][2]) == (k == 2)
 
         lstsq_calls.clear()
+        alone.append(cd_semi_nmf(M, V0s[4], 40))
+        zero_fallbacks = len(lstsq_calls)
+        assert zero_fallbacks >= 1
+        assert np.all(np.linalg.norm(alone[3][0].V, axis=1) > 0)
+
+        lstsq_calls.clear()
         poison_u(monkeypatch, item=3, call=5)
-        *stacked, failed = cd_semi_nmf_stack(M, V0s, 40)
-        assert len(lstsq_calls) == 1
+        stacked = cd_semi_nmf_stack(M, V0s, 40)
+        failed = stacked.pop(3)
+        assert len(lstsq_calls) == 1 + zero_fallbacks
         for got, want in zip(stacked, alone):
             self.assert_bitwise(got, want)
         assert isinstance(failed, NumericalError)
