@@ -377,7 +377,11 @@ def _quantiles(values) -> dict:
     arr = np.array([v for v in values if not math.isnan(v)])
     if arr.size == 0:
         return {"count": 0}
-    qs = np.quantile(arr, [0.0, 0.25, 0.5, 0.75, 1.0])
+    levels = [0.0, 0.25, 0.5, 0.75, 1.0]
+    # quality_from_error's +inf would interpolate as inf - inf = nan: a level
+    # that weighs it is inf, and the others give it a finite stand-in
+    qs = np.quantile(np.minimum(arr, np.finfo(float).max), levels)
+    qs[np.quantile(arr, levels, method="higher") == np.inf] = np.inf
     return {
         "count": int(arr.size),
         "min": json_safe(float(qs[0])),

@@ -212,15 +212,12 @@ def closed_form_certificate(columns) -> HalfspaceCertificate | None:
     return None
 
 
-def _append_column(Q, Rinv, qtf, k, a, f) -> float:
+def _append_column(Q, Rinv, qtf, k, a, f) -> None:
     """Border the thin QR of the first k passive columns with column a.
 
     One Gram-Schmidt step against Q[:, :k], with one reorthogonalization,
     gives a = Q h + rho q.  Writes q to Q[:, k], the new column
-    [-R^-1 h; 1] / rho of R^-1 to Rinv[:k + 1, k] and q.f to qtf[k], and
-    returns rho, the new diagonal entry of R.  Slot k is only read once
-    the caller takes the column, so a column passed over costs nothing
-    to undo.
+    [-R^-1 h; 1] / rho of R^-1 to Rinv[:k + 1, k] and q.f to qtf[k].
     """
     Qk = Q[:, :k]
     h = Qk.T @ a
@@ -229,12 +226,10 @@ def _append_column(Q, Rinv, qtf, k, a, f) -> float:
     v -= Qk @ g
     h += g
     rho = float(np.linalg.norm(v))
-    if rho > 0.0:  # rho = 0 when a repeats a passive column
-        Q[:, k] = v / rho
-        Rinv[:k, k] = -(Rinv[:k, :k] @ h) / rho
-        Rinv[k, k] = 1.0 / rho
-        qtf[k] = Q[:, k] @ f
-    return rho
+    Q[:, k] = v / rho
+    Rinv[:k, k] = -(Rinv[:k, :k] @ h) / rho
+    Rinv[k, k] = 1.0 / rho
+    qtf[k] = Q[:, k] @ f
 
 
 def _nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, int]:
@@ -249,18 +244,18 @@ def _nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, int]:
     bordering R^-1 and Q^T f, and the weights are R^-1 Q^T f, with no
     factorization and no solve; a drop, which is rare, rebuilds the
     factors by appending the remaining passive columns in order of
-    entry.  A column that would enter numerically dependent on the
-    passive ones (new diagonal |R_kk| <= ZERO_TOL, the columns of E
-    having norm sqrt(2)), or with a nonpositive weight, is passed over
-    until the iterate moves.  Returns x and the number of passes run,
-    counting the last.  Raises ``NumericalError`` after
-    ``NNLS_MAX_ITER`` passes per column.
+    entry.  The picked column always enters: x solves the passive least
+    squares, so r = f - E x is orthogonal to Q and ||r|| <= 1, and the
+    column a = Q h + rho q has gain w = rho q.r <= rho and new weight
+    q.f / rho = w / rho^2 >= w / 2 > 0 (the columns of E have norm
+    sqrt(2)).  Returns x and the number of passes run, counting the
+    last.  Raises ``NumericalError`` after ``NNLS_MAX_ITER`` passes per
+    column.
     """
     n, p = E.shape
     x = np.zeros(p)
     w = E.T @ f
     passive: list[int] = []  # in order of entry, so the entering column is last in R
-    passed_over = np.zeros(p, dtype=bool)
     # thin QR of E[:, passive] in the leading len(passive) slots; at most
     # min(n, p) columns can be independent
     d = min(n, p)
@@ -286,21 +281,16 @@ def _nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, int]:
             x[passive] = s
             w = E.T @ (f - E @ x)
             s = None
-        gain = np.where(passed_over, -np.inf, w)
+        gain = w.copy()
         gain[passive] = -np.inf
         t = int(np.argmax(gain))
-        if not gain[t] > ZERO_TOL:
-            return x, passes
         k = len(passive)
-        # k = d = n passive columns span the space, so t is dependent
-        if k < d and _append_column(Q, Rinv, qtf, k, E[:, t], f) > ZERO_TOL:
-            s = Rinv[: k + 1, : k + 1] @ qtf[: k + 1]
-        if s is None or not s[-1] > 0.0:
-            passed_over[t] = True
-            s = None
-            continue
+        # k = d: no column is left, or n passive columns span the space
+        if k == d or not gain[t] > ZERO_TOL:
+            return x, passes
+        _append_column(Q, Rinv, qtf, k, E[:, t], f)
+        s = Rinv[: k + 1, : k + 1] @ qtf[: k + 1]
         passive.append(t)
-        passed_over[:] = False
     raise NumericalError(f"NNLS iteration limit exceeded ({NNLS_MAX_ITER * p} passes, {p} columns)")
 
 

@@ -100,10 +100,12 @@ def oracle_nnls(E: np.ndarray, f: np.ndarray):
     """argmin ||E x - f|| over x >= 0, refactoring on every pass.
 
     Lawson and Hanson's active set method with the pass rules of
-    ``seminmf.halfspace._nnls`` (entering column, passed-over columns,
-    the ZERO_TOL dependence test on |R_kk|, the drop step, the pass
-    cap), but every solve is a fresh thin QR of the passive columns and
-    an LU solve of R: the reference for the updated factorization.
+    ``seminmf.halfspace._nnls`` (entering column, drop step, pass cap),
+    but every solve is a fresh thin QR of the passive columns and an LU
+    solve of R: the reference for the updated factorization.  It keeps
+    the pass-over rule that ``_nnls`` dropped (a column whose |R_kk| is
+    <= ZERO_TOL or whose new weight is <= 0 does not enter), so passes
+    equal to ``_nnls``'s show that the rule never fires.
     Returns (x, passes, drops): the loop passes run, counting the last,
     and how many of them dropped a column.
     """

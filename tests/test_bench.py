@@ -7,6 +7,7 @@ import pytest
 
 from seminmf.bench import (
     TrialConfig,
+    _quantiles,
     gen_noisy_semi,
     gen_nonnegative,
     gen_semi_nonneg,
@@ -203,6 +204,20 @@ class TestRunExperiment:
     )
     def test_json_safe(self, x, want):
         assert json_safe(x) == want
+
+    @pytest.mark.parametrize(
+        "values, want",
+        [
+            ([0.0, 0.0, math.inf, math.inf], [0.0, 0.0, "inf", "inf", "inf"]),
+            ([1.0, 2.0, math.inf], [1.0, 1.5, 2.0, "inf", "inf"]),
+            ([math.inf, math.inf], ["inf"] * 5),
+        ],
+    )
+    def test_quantiles_of_infinite_qualities(self, values, want):
+        # a level whose interpolation weighs +inf is inf, any other the lower value
+        q = _quantiles(values)
+        assert q["count"] == len(values)
+        assert [q[k] for k in ("min", "q25", "median", "q75", "max")] == want
 
     def test_seeds_pinned(self):
         # SeedSequence gives these on every platform: a success row carries

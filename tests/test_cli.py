@@ -255,6 +255,7 @@ SUITE_TEXT = """
 generator=nonnegative m=8 n=10 r=2 max_iter=8 checkpoints=4,8 strategies=rd,a3
 generator=noisy_semi m=8 n=10 r=2 delta=inf max_iter=8 checkpoints=8 strategies=a3
 """
+LOWRANK_SUITE_TEXT = "generator=semi_nonneg m=20 n=30 r=5 inner_dim=3\n"
 
 
 class TestBench:
@@ -293,16 +294,27 @@ class TestBench:
         assert blobs[0] == blobs[1]
 
     def test_summary_contains_checkpoint_medians(self, tmp_path):
-        suite = tmp_path / "suite.cfg"
-        suite.write_text(SUITE_TEXT)
-        out, summ = tmp_path / "r.csv", tmp_path / "s.json"
-        assert main(["bench", "--suite", str(suite), "--trials", "2",
-                     "--seed", "3", "--out", str(out), "--summary", str(summ)]) == 0
-        payload = json.loads(summ.read_text())
-        cfg = payload["nonnegative-m8-n10-r2"]
-        assert "median" in cfg["rd"]["iter_4"]
-        assert "median" in cfg["rd"]["iter_8"]
-        assert "median" in cfg["a3"]["final"]
+        cases = [
+            (SUITE_TEXT, "2", "3", "nonnegative-m8-n10-r2", ("iter_4", "iter_8")),
+            # the best rank-5 error is 0, so rd and km end at quality inf on
+            # two of the four trials
+            (LOWRANK_SUITE_TEXT, "4", "1", "semi_nonneg-m20-n30-r5-k3", ("iter_10", "iter_100")),
+        ]
+        for text, trials, seed, config, checkpoints in cases:
+            suite = tmp_path / "suite.cfg"
+            suite.write_text(text)
+            out, summ = tmp_path / "r.csv", tmp_path / "s.json"
+            assert main(["bench", "--suite", str(suite), "--trials", trials,
+                         "--seed", seed, "--out", str(out), "--summary", str(summ)]) == 0
+            assert '"nan"' not in summ.read_text()
+            cfg = json.loads(summ.read_text())[config]
+            for checkpoint in checkpoints:
+                assert "median" in cfg["rd"][checkpoint]
+            assert "median" in cfg["a3"]["final"]
+        # the low-rank suite's rd: a level that weighs an inf quality is inf
+        assert cfg["rd"]["final"] == {
+            "count": 4, "min": 0.0, "q25": 0.0, "median": "inf", "q75": "inf", "max": "inf"
+        }
 
     def test_schema_violations_listed(self, tmp_path, capsys):
         suite = tmp_path / "bad.cfg"

@@ -255,11 +255,59 @@ def exact_rank_columns(right, seed=2026):
     yield from columns_of(A @ B)
 
 
+def adversarial_columns():
+    """Seeded column sets on which an entering column could look dependent
+    or take a nonpositive weight, 100 of each family: near-duplicate
+    columns 1e-14 to 1e-6 apart, rows scaled by 1e-8 to 1, a positive
+    first row at 1e-12 to 1e-3, and low rank."""
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        m, p = rng.integers(2, 9), rng.integers(4, 30)
+        C = rng.standard_normal((m, p))
+        family = seed % 4
+        if family == 0:
+            k = p // 2
+            C[:, k : 2 * k] = C[:, :k] + 10.0 ** rng.uniform(-14, -6) * rng.standard_normal((m, k))
+        elif family == 1:
+            C *= 10.0 ** rng.uniform(-8, 0, (m, 1))
+        elif family == 2:
+            C[0] = 10.0 ** rng.uniform(-12, -3) * np.abs(C[0])
+        else:
+            k = rng.integers(1, m)
+            C = rng.standard_normal((m, k)) @ rng.standard_normal((k, p))
+        yield C[:, nonzero_columns(C)]
+
+
 def least_distance_problem(C):
     """(E, f) of nnls_certificate's NNLS on the columns C."""
     Cn = C / np.linalg.norm(C, axis=0)
     E = np.vstack([Cn, np.ones((1, C.shape[1]))])
     return E, np.eye(E.shape[0])[-1]
+
+
+def compare_with_the_oracle(cases):
+    """Run _nnls and oracle_nnls on each column set.  Asserts equal passes,
+    equal nearest points E x, and that each column taken in place of the
+    oracle's equals it to rounding.  Returns the support ties, the cases
+    that dropped a column, and the largest weight gap on equal supports."""
+    ties, drops, weight_gap = 0, 0, 0.0
+    for C in cases:
+        E, f = least_distance_problem(C)
+        x, passes = _nnls(E, f)
+        x_ref, passes_ref, drops_ref = oracle_nnls(E, f)
+        drops += drops_ref > 0
+        assert passes == passes_ref
+        # the nearest point E x of the cone is unique, the weights only without ties
+        assert np.linalg.norm(E @ (x - x_ref)) <= 1e-12
+        support, support_ref = np.flatnonzero(x), np.flatnonzero(x_ref)
+        if np.array_equal(support, support_ref):
+            weight_gap = max(weight_gap, np.abs(x - x_ref).max())
+            continue
+        ties += 1
+        new, old = np.setdiff1d(support, support_ref), np.setdiff1d(support_ref, support)
+        gaps = np.linalg.norm(E[:, new, None] - E[:, None, old], axis=0)
+        assert new.size == old.size and (gaps.min(axis=1) <= 1e-12).all()
+    return ties, drops, weight_gap
 
 
 class TestNnlsCertificate:
@@ -331,26 +379,19 @@ class TestNnlsCertificate:
         assert oracle_nnls(*least_distance_problem(drop_case))[2] == 2
         cases = [C for M in agreement_inputs() for C in columns_of(M)]
         cases += [C for right in ("gaussian", "uniform") for C in exact_rank_columns(right)]
-        ties, drops = 0, 0
-        for C in cases + [drop_case]:
-            E, f = least_distance_problem(C)
-            x, passes = _nnls(E, f)
-            x_ref, passes_ref, drops_ref = oracle_nnls(E, f)
-            drops += drops_ref > 0
-            assert passes == passes_ref
-            # the nearest point E x of the cone is unique, the weights only without ties
-            assert np.linalg.norm(E @ (x - x_ref)) <= 1e-12
-            support, support_ref = np.flatnonzero(x), np.flatnonzero(x_ref)
-            if np.array_equal(support, support_ref):
-                assert np.abs(x - x_ref).max() <= 1e-12
-                continue
-            # a tie: each column taken in place of the oracle's equals it to rounding
-            ties += 1
-            new, old = np.setdiff1d(support, support_ref), np.setdiff1d(support_ref, support)
-            gaps = np.linalg.norm(E[:, new, None] - E[:, None, old], axis=0)
-            assert new.size == old.size and (gaps.min(axis=1) <= 1e-12).all()
+        ties, drops, weight_gap = compare_with_the_oracle(cases + [drop_case])
+        assert weight_gap <= 1e-12
         # agreement input 114 (a 40%-sparse Gaussian) has duplicate unit columns
         assert ties <= 1 and drops >= 100
+
+    def test_matches_the_oracle_on_adversarial_columns(self):
+        # the oracle keeps the pass-over rule, so equal passes show that it
+        # never fires.  Row scaling leaves the weights ill-conditioned (they
+        # differ by up to 5e-11 on equal supports) while E x agrees to 1e-15,
+        # and a solver without the reorthogonalization misses E x by 8e-11
+        ties, drops, _ = compare_with_the_oracle(adversarial_columns())
+        # the low-rank family at rank 1 has columns equal to rounding
+        assert ties <= 7 and drops >= 100
 
     def test_residual_matches_scipy(self):
         nnls = pytest.importorskip("scipy.optimize").nnls
