@@ -26,6 +26,12 @@ so the pivot row is zero at every basic column but its own.  The A3
 bisection's feasibility LP on p columns of length r has p rows and
 2r + 1 + p variables, so a pivot touches at most 2r + 3 of the
 2r + 2 + p stored columns.
+
+The rest of a pivot reads only what it needs.  The ratio test divides
+just the rows whose entering-column entry exceeds PIVOT_TOL and scans
+those ratios once for the minimum and once for its ties.  The update
+multiplies by the pivot column in place rather than by a copy; the
+pivot row it spoils is rewritten at once from the normalized row.
 """
 
 from __future__ import annotations
@@ -56,16 +62,40 @@ def _pivot(T: np.ndarray, red: np.ndarray, row: int, col: int) -> None:
 
     The rank-1 update runs on the rows of ``T.T`` (the tableau columns)
     whose normalized pivot-row entry is nonzero; any other column would
-    get x - f*0 = x, its own value up to the sign of a zero.
+    get x - f*0 = x, its own value up to the sign of a zero.  The pivot
+    column is read in place: the update writes wrong values into the
+    pivot row, but ``prow`` overwrites that row right after, and every
+    other entry gets the same single rounded product x - f*t.
     """
     Tt = T.T
     prow = Tt[:, row] / Tt[col, row]
-    nz = np.flatnonzero(prow)
-    factors = Tt[col].copy()
-    factors[row] = 0.0
-    Tt[nz] -= np.outer(prow[nz], factors)
+    nz = prow.nonzero()[0]
+    pnz = prow[nz]
+    Tt[nz] -= pnz[:, None] * Tt[col]
     Tt[:, row] = prow
-    red[nz] -= red[col] * prow[nz]
+    red[nz] -= red[col] * pnz
+
+
+def _ratio_row(tcol: np.ndarray, rhs: np.ndarray, basis: np.ndarray) -> int:
+    """Leaving row of the ratio test on entering column ``tcol``.
+
+    Only the rows with ``tcol > PIVOT_TOL`` are divided.  The row is the
+    first minimum ratio; ratios within PIVOT_TOL * (1 + |min|) of it tie,
+    and a tie goes to the smallest basis id (part of Bland's rule).
+    Raises LpUnbounded when no ratio is finite.
+    """
+    cand = (tcol > PIVOT_TOL).nonzero()[0]
+    if not cand.size:
+        raise LpUnbounded("objective unbounded below")
+    ratios = rhs[cand] / tcol[cand]
+    k = ratios.argmin()
+    rmin = ratios[k]
+    if not np.isfinite(rmin):
+        raise LpUnbounded("objective unbounded below")
+    ties = (ratios <= rmin + PIVOT_TOL * (1.0 + abs(rmin))).nonzero()[0]
+    if ties.size > 1:
+        return int(cand[ties[basis[cand[ties]].argmin()]])
+    return int(cand[k])
 
 
 def _run(T, red, basis, max_iter, it_start, bland, floor=None):
@@ -76,34 +106,32 @@ def _run(T, red, basis, max_iter, it_start, bland, floor=None):
     stops as soon as the objective reaches it; this sidesteps the long
     degenerate walks an optimal face can otherwise demand from Bland's
     rule.
+
+    Per pivot the loop picks the entering column from the reduced costs,
+    runs ``_ratio_row`` on that column, which divides only its eligible
+    rows, and calls ``_pivot``, which updates only the columns the pivot
+    row touches.  The reduced-cost and right-hand-side views and the
+    floor threshold are taken once, before the loop; ``red`` and ``T``
+    change in place, so the views stay current.
     """
     it = it_start
     stall = 0
     best = -red[-1]
+    rc, rhs = red[:-1], T[:, -1]
+    stop = None if floor is None else floor + FLOOR_TOL * (1.0 + abs(floor))
     while True:
-        if floor is not None and -red[-1] <= floor + FLOOR_TOL * (1.0 + abs(floor)):
+        if stop is not None and -red[-1] <= stop:
             return it, bland
-        rc = red[:-1]
         if bland:
-            cand = np.flatnonzero(rc < -RCOST_TOL)
+            cand = (rc < -RCOST_TOL).nonzero()[0]
             if cand.size == 0:
                 return it, bland
             col = int(cand[0])
         else:
-            col = int(np.argmin(rc))
+            col = int(rc.argmin())
             if rc[col] >= -RCOST_TOL:
                 return it, bland
-        tcol = T[:, col]
-        ratios = np.divide(
-            T[:, -1], tcol, out=np.full(tcol.size, np.inf), where=tcol > PIVOT_TOL
-        )
-        row = int(np.argmin(ratios))
-        if not np.isfinite(ratios[row]):
-            raise LpUnbounded("objective unbounded below")
-        # break ratio ties on the smallest basis index (part of Bland's rule)
-        ties = np.flatnonzero(ratios <= ratios[row] + PIVOT_TOL * (1.0 + abs(ratios[row])))
-        if ties.size > 1:
-            row = int(ties[np.argmin(basis[ties])])
+        row = _ratio_row(T[:, col], rhs, basis)
         _pivot(T, red, row, col)
         basis[row] = col
         it += 1

@@ -8,9 +8,10 @@ import math
 
 import numpy as np
 
-from seminmf.exceptions import NumericalError
+from seminmf.exceptions import LpUnbounded, NumericalError
 from seminmf.halfspace import NNLS_MAX_ITER, ZERO_TOL
 from seminmf.linalg import as_matrix
+from seminmf.simplex import PIVOT_TOL
 from seminmf.solver import DEGENERATE_RTOL
 
 
@@ -72,6 +73,26 @@ def oracle_dense_pivot(T: np.ndarray, red: np.ndarray, row: int, col: int) -> No
     factors[row] = 0.0
     T -= np.outer(factors, T[row])
     red -= red[col] * T[row]
+
+
+def oracle_dense_ratio_row(tcol: np.ndarray, rhs: np.ndarray, basis: np.ndarray) -> int:
+    """Leaving row of the ratio test, from a ratio for every row of the column.
+
+    The reference for ``seminmf.simplex._ratio_row``, which divides only
+    the eligible rows; same signature.  Ineligible rows get ratio +inf,
+    and all p ratios are scanned for the first minimum and for its ties.
+    """
+    ratios = np.divide(
+        rhs, tcol, out=np.full(tcol.size, np.inf), where=tcol > PIVOT_TOL
+    )
+    row = int(np.argmin(ratios))
+    if not np.isfinite(ratios[row]):
+        raise LpUnbounded("objective unbounded below")
+    # break ratio ties on the smallest basis index (part of Bland's rule)
+    ties = np.flatnonzero(ratios <= ratios[row] + PIVOT_TOL * (1.0 + abs(ratios[row])))
+    if ties.size > 1:
+        row = int(ties[np.argmin(basis[ties])])
+    return row
 
 
 def residual_row_update(M, U, V, i: int) -> np.ndarray:

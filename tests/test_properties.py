@@ -1,6 +1,8 @@
 """Property tests of ``semi_rank``: invariance under power-of-two scaling,
-column permutation, duplicated columns and appended zero columns; of the
-A3 start under power-of-two scaling and column permutation; and of
+column permutation, duplicated columns and appended zero columns, and an
+exact factorization at every rank; of ``exact_semi_nmf_same_rank``: an
+exact nonnegative correction for any verified witness; of the A3 start
+under power-of-two scaling and column permutation; and of
 ``run_experiment``: a record is a function of the master seed and of its
 own strategy, not of the strategies run beside it."""
 
@@ -11,9 +13,12 @@ import numpy as np
 import pytest
 
 from seminmf.bench import TrialConfig, gen_noisy_semi, run_experiment
-from seminmf.factors import semi_rank
+from seminmf.factors import exact_semi_nmf_same_rank, semi_rank, sign_flip
+from seminmf.halfspace import nnls_certificate, nonzero_columns
 from seminmf.initializers import STRATEGY_KINDS, init_a3
-from seminmf.linalg import random_gaussian, random_uniform
+from seminmf.linalg import frob, pow2_scale, random_gaussian, random_uniform, thin_svd
+
+from test_factors import POLE_CASES
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -73,6 +78,79 @@ def test_appended_zero_columns(M, zeros):
     assert verdict(rep) == verdict(semi_rank(M))
     np.testing.assert_array_equal(rep.factorization.V[:, n:], 0.0)
     assert rep.factorization.frob_error <= 1e-9 * np.linalg.norm(M)
+
+
+@st.composite
+def products_of_every_rank(draw):
+    """G @ X with G Gaussian m x k and X Gaussian or uniform k x n, for
+    every k from 0 (the zero matrix) to min(m, n), scaled by 2**j."""
+    k = draw(st.integers(0, 8))
+    m, n, seed = draw(st.integers(max(k, 1), 8)), draw(st.integers(max(k, 1), 10)), draw(SEEDS)
+    j = draw(st.sampled_from([-600, -3, 0, 5, 600]))
+    if k == 0:
+        return np.zeros((m, n)), k
+    right = draw(st.sampled_from([random_gaussian, random_uniform]))
+    return np.ldexp(random_gaussian(m, k, seed) @ right(k, n, seed + 1), j), k
+
+
+@PROPERTY
+@hypothesis.given(products_of_every_rank())
+def test_semi_rank_factorization_is_exact(Mk):
+    # frob works on a power-of-two rescaling, so the bound holds at 2**+-600
+    M, k = Mk
+    rep = semi_rank(M)
+    f = rep.factorization
+    assert rep.rank == k and rep.semi_rank in (k, k + 1)
+    assert f.U.shape == (M.shape[0], rep.semi_rank) and f.V.shape == (rep.semi_rank, M.shape[1])
+    assert f.V.min(initial=0.0) >= 0.0
+    assert frob(M - f.U @ f.V) <= 1e-9 * frob(M)
+
+
+def pole_witness(rows, witness):
+    """(A, B, y) of a POLE_CASES matrix: its sign-flipped rank-2 factor
+    pair and an NNLS or centroid witness with |1 + y.alpha| < 1/2."""
+    M = np.array(rows, dtype=float)
+    A, B = sign_flip(*thin_svd(M / pow2_scale(M)).pair(2))
+    C = B[:, nonzero_columns(B)]
+    if witness == "nnls":
+        return A, B, nnls_certificate(C).z
+    return A, B, (C / np.linalg.norm(C, axis=0)).sum(axis=1)
+
+
+@st.composite
+def witnessed_products(draw):
+    """A sign-flipped factor pair (A, B), some columns of B zero, and a
+    witness y with B.T y > 0 on the other columns, at scales 1 to 1e-6."""
+    m, r, n = draw(st.integers(1, 8)), draw(st.integers(1, 5)), draw(st.integers(1, 10))
+    seed = draw(SEEDS)
+    rng = np.random.default_rng(seed)
+    A, G, y = rng.standard_normal((m, r)), rng.standard_normal((r, n)), rng.standard_normal(r)
+    # move each column of G along y until its inner product with y is x_j
+    x = rng.random(n) * 10.0 ** -draw(st.integers(0, 6))
+    B0 = G + np.outer(y, (x - y @ G) / (y @ y))
+    B0[:, rng.random(n) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    A, B = sign_flip(A, B0)
+    # a flipped row of B flips its entry of y too, so B.T y stays put
+    y = np.where((B == B0).all(axis=1), y, -y)
+    keep = nonzero_columns(B)
+    hypothesis.assume(not keep.any() or (B.T @ y)[keep].min() > 0.0)
+    return A, B, y
+
+
+@PROPERTY
+@hypothesis.example(pole_witness(POLE_CASES[0], "nnls"))
+@hypothesis.example(pole_witness(POLE_CASES[1], "nnls"))
+@hypothesis.example(pole_witness(POLE_CASES[1], "centroid"))
+@hypothesis.given(witnessed_products())
+def test_same_rank_correction_is_exact(ABy):
+    A, B, y = ABy
+    U, V, _ = exact_semi_nmf_same_rank(A, B, y)
+    assert U.shape == A.shape and V.shape == B.shape
+    assert V.min(initial=0.0) >= 0.0
+    assert np.all(V[:, ~nonzero_columns(B)] == 0.0)
+    # rounding in U, V and both products, relative to the factor sizes
+    scale = frob(U) * frob(V) + frob(A) * frob(B)
+    assert frob(U @ V - A @ B) <= 1e-12 * scale
 
 
 # a few A3 starts at the desk shape, each a full bisection
