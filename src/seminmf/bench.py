@@ -119,6 +119,13 @@ def _generate(cfg: "TrialConfig", seed: int) -> np.ndarray:
 # experiment runner
 
 
+def _default_inner_dim(generator, r, inner_dim):
+    """``inner_dim``, or the semi_nonneg default if None (None while r is not an int)."""
+    if inner_dim is None and generator == "semi_nonneg" and isinstance(r, int):
+        return r + 10
+    return inner_dim
+
+
 def config_problems(fields: dict) -> list[str]:
     """Validate a config dict; fields left out take their TrialConfig defaults.
 
@@ -140,8 +147,8 @@ def config_problems(fields: dict) -> list[str]:
         dims_ok = False
     if dims_ok and isinstance(r, int) and not 1 <= r <= min(m, n):
         errs.append(f"r: {r} out of range for {m}x{n}")
-    k, d = f.get("inner_dim"), f.get("delta")
-    if gen == "semi_nonneg":
+    k, d = _default_inner_dim(gen, r, f.get("inner_dim")), f.get("delta")
+    if gen == "semi_nonneg" and k is not None:
         if not isinstance(k, int) or (dims_ok and not 1 <= k <= min(m, n)):
             errs.append(f"inner_dim: {k!r} invalid for semi_nonneg")
     elif gen in GENERATOR_KINDS and k is not None:
@@ -169,7 +176,7 @@ class TrialConfig:
     m: int
     n: int
     r: int
-    inner_dim: int | None = None  # semi_nonneg product inner dimension
+    inner_dim: int | None = None  # semi_nonneg product inner dimension (None: its default)
     delta: float | None = None  # noisy_semi noise level (may be inf)
     strategies: tuple[str, ...] = STRATEGY_KINDS
     max_iter: int = 100
@@ -177,6 +184,8 @@ class TrialConfig:
     name: str = ""
 
     def __post_init__(self):
+        inner_dim = _default_inner_dim(self.generator, self.r, self.inner_dim)
+        object.__setattr__(self, "inner_dim", inner_dim)
         errs = config_problems(dataclasses.asdict(self))
         if errs:
             raise ValueError("; ".join(errs))
@@ -308,12 +317,14 @@ def run_experiment(
     ``jobs`` > 1 runs the trials on that many spawned worker processes
     (at most one per trial), so a script that calls this with jobs > 1
     needs the ``if __name__ == "__main__":`` guard; ``jobs`` = 1 runs
-    them in this process.
+    them in this process.  ``trials`` or ``jobs`` below 1 is a ValueError.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     tasks = [(ci, cfg, ti) for ci, cfg in enumerate(configs) for ti in range(trials)]
-    if jobs <= 1:
+    if jobs == 1:
         results = [_run_trial(cfg, ci, ti, master_seed) for ci, cfg, ti in tasks]
     else:
         # imported here so in-process runs do not load the pool's modules;

@@ -13,13 +13,19 @@ bench
     of per-trial records and an optional JSON summary of per-strategy
     quality quantiles.
 
-Exit codes: 0 success, 2 usage or input error, 3 numerical failure.
+Exit codes: 0 success, 2 usage or input error (OSError, ValueError),
+3 numerical failure (NumericalError).
 
 Suite files are flat text: one config per line of ``key=value`` tokens,
 ``#`` comments allowed.  Keys: generator (nonnegative | semi_nonneg |
-noisy_semi), m, n, r, inner_dim (semi_nonneg only, default r+10), delta
-(noisy_semi only; >= 0, ``inf`` allowed), strategies (comma list of
+noisy_semi), m, n, r, inner_dim (semi_nonneg only; TrialConfig's default),
+delta (noisy_semi only; >= 0, ``inf`` allowed), strategies (comma list of
 rd,km,a2,a3), max_iter, checkpoints (comma list), name.
+
+This module parses tokens and maps exceptions to exit codes.  The rules of
+a run live in ``bench``: ``TrialConfig`` fills the defaults and validates a
+config (``config_problems`` lists its problems), and ``run_experiment``
+checks ``trials`` and ``jobs``.
 """
 
 from __future__ import annotations
@@ -81,6 +87,7 @@ def _cmd_rank(args) -> int:
             "weights": None if cert.weights is None else cert.weights.tolist(),
             "distance": cert.distance,
             "frob_error": report.factorization.frob_error,
+            "clamped": report.factorization.clamped,
         }
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -132,17 +139,12 @@ PRESETS = {
 }
 
 
-def _semi_inner_dim(r: int) -> int:
-    """Default inner dimension of a semi_nonneg product of rank r."""
-    return r + 10
-
-
 def preset_configs(name: str) -> list[TrialConfig]:
     p = PRESETS[name]
     cfgs = []
     for r in p["ranks"]:
         cfgs.append(TrialConfig("nonnegative", p["m"], p["n"], r))
-        cfgs.append(TrialConfig("semi_nonneg", p["m"], p["n"], r, inner_dim=_semi_inner_dim(r)))
+        cfgs.append(TrialConfig("semi_nonneg", p["m"], p["n"], r))
         for delta in (5.0, 10.0, math.inf):
             cfgs.append(TrialConfig("noisy_semi", p["m"], p["n"], r, delta=delta))
     return cfgs
@@ -181,16 +183,11 @@ def parse_suite_line(line: str, lineno: int) -> TrialConfig:
         except ValueError:
             problems.append(f"{key}: expected {expected}, got {value!r}")
             unparsed.add(key)
-    if fields.get("generator") == "semi_nonneg" and "inner_dim" not in fields:
-        if "r" in fields:
-            fields["inner_dim"] = _semi_inner_dim(fields["r"])
-        else:  # the default needs r, whose problem is listed on its own
-            unparsed.add("inner_dim")
     schema = config_problems(fields)
     problems += [msg for msg in schema if msg.split(":", 1)[0] not in unparsed]
     if not problems:
         return TrialConfig(**fields)
-    raise UsageError(f"suite line {lineno}: " + "; ".join(problems))
+    raise ValueError(f"suite line {lineno}: " + "; ".join(problems))
 
 
 def parse_suite_file(path) -> list[TrialConfig]:
@@ -203,20 +200,16 @@ def parse_suite_file(path) -> list[TrialConfig]:
                 continue
             try:
                 configs.append(parse_suite_line(line, lineno))
-            except UsageError as exc:
+            except ValueError as exc:
                 problems.append(str(exc))
     if problems:
-        raise UsageError("\n".join(problems))
+        raise ValueError("\n".join(problems))
     if not configs:
-        raise UsageError(f"{path}: no suite configs found")
+        raise ValueError(f"{path}: no suite configs found")
     return configs
 
 
 def _cmd_bench(args) -> int:
-    if args.trials < 1:
-        raise UsageError("--trials must be >= 1")
-    if args.jobs < 1:
-        raise UsageError("--jobs must be >= 1")
     configs = (
         parse_suite_file(args.suite) if args.suite is not None else preset_configs(args.preset)
     )
@@ -238,10 +231,6 @@ def _cmd_bench(args) -> int:
 
 # ---------------------------------------------------------------------------
 # plumbing
-
-
-class UsageError(Exception):
-    pass
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,9 +278,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

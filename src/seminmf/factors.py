@@ -106,10 +106,10 @@ def sign_flip(A, B):
     B = as_matrix(B, "B").copy()
     if A.shape[1] != B.shape[0]:
         raise ValueError("A and B are not conformable")
-    for i in range(B.shape[0]):
-        if B.shape[1] and B[i].min() <= (-B[i]).min():
-            B[i] = -B[i]
-            A[:, i] = -A[:, i]
+    if B.shape[1]:
+        flip = B.min(axis=1) <= (-B).min(axis=1)
+        B[flip] = -B[flip]
+        A[:, flip] = -A[:, flip]
     return A, B
 
 

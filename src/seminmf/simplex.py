@@ -182,7 +182,8 @@ def simplex_min(
     if -red[-1] > 1e-9 * (1.0 + float(np.abs(b).max(initial=0.0))):
         raise LpInfeasible(f"phase-1 optimum {-red[-1]:.6e} > 0")
 
-    # drive leftover artificials out of the basis; drop redundant rows
+    # drive leftover artificials out of the basis, counting each pivot in
+    # ``it`` (so in the iterations and the budget); drop redundant rows
     keep = np.ones(m, dtype=bool)
     for row in range(m):
         if basis[row] < n:
@@ -191,6 +192,7 @@ def simplex_min(
         if cols.size:
             _pivot(T, red, row, int(cols[0]))
             basis[row] = int(cols[0])
+            it += 1
         else:
             keep[row] = False
     T = np.ascontiguousarray(T[keep])

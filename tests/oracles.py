@@ -95,6 +95,21 @@ def oracle_dense_ratio_row(tcol: np.ndarray, rhs: np.ndarray, basis: np.ndarray)
     return row
 
 
+def oracle_sign_flip(A, B):
+    """Negate matched (column of A, row of B) pairs, one row at a time.
+
+    The reference for ``seminmf.factors.sign_flip``, which picks every
+    row to flip with one mask: row i flips when min_j B_ij <= min_j(-B_ij).
+    """
+    A = as_matrix(A, "A").copy()
+    B = as_matrix(B, "B").copy()
+    for i in range(B.shape[0]):
+        if B.shape[1] and B[i].min() <= (-B[i]).min():
+            B[i] = -B[i]
+            A[:, i] = -A[:, i]
+    return A, B
+
+
 def residual_row_update(M, U, V, i: int) -> np.ndarray:
     """Optimal nonnegative row i of V with everything else fixed.
 

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import seminmf.bench
 from seminmf.bench import (
     TrialConfig,
     _quantiles,
+    config_problems,
     gen_noisy_semi,
     gen_nonnegative,
     gen_semi_nonneg,
@@ -113,6 +115,20 @@ class TestTrialConfig:
         with pytest.raises(ValueError, match="inner_dim"):
             TrialConfig("semi_nonneg", 5, 5, 2)
 
+    def test_semi_nonneg_inner_dim_defaults_to_r_plus_10(self):
+        cfg = TrialConfig("semi_nonneg", 50, 100, 10)
+        assert cfg.inner_dim == 20
+        assert cfg == TrialConfig("semi_nonneg", 50, 100, 10, inner_dim=20)
+        assert cfg.name == "semi_nonneg-m50-n100-r10-k20"
+        assert config_problems({"generator": "semi_nonneg", "m": 50, "n": 100, "r": 10}) == []
+        # the default is validated like an explicit value, and listed once
+        for fields in ({}, {"inner_dim": None}):
+            msg = "inner_dim: 55 invalid for semi_nonneg"
+            assert config_problems({"generator": "semi_nonneg", "m": 50, "n": 100, "r": 45,
+                                    **fields}) == [msg]
+            with pytest.raises(ValueError, match=f"^{msg}$"):
+                TrialConfig("semi_nonneg", 50, 100, 45, **fields)
+
     def test_validates_delta(self):
         for delta in (None, -1.0, math.nan, -math.inf):
             with pytest.raises(ValueError, match="delta"):
@@ -161,6 +177,15 @@ class TestRunExperiment:
         b = run_experiment([self.CFG], trials=3, master_seed=2, jobs=4)
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.quality_trace, rb.quality_trace)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_rejects_jobs_below_one_before_any_trial(self, monkeypatch, jobs):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(seminmf.bench, "_run_trial", no_trial)
+        with pytest.raises(ValueError, match="^jobs must be >= 1$"):
+            run_experiment([self.CFG], trials=1, master_seed=1, jobs=jobs)
 
     def test_trace_has_init_entry(self):
         recs = run_experiment([self.CFG], trials=1, master_seed=3)

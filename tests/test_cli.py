@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from seminmf.cli import main, parse_suite_file, preset_configs
+from seminmf.bench import TrialConfig
+from seminmf.cli import PRESETS, main, parse_suite_file, parse_suite_line, preset_configs
 from seminmf.exceptions import NumericalError
+from seminmf.factors import semi_rank
 from seminmf.linalg import random_gaussian, random_uniform
 from seminmf.matio import read_matrix, write_csv
 
@@ -90,6 +92,20 @@ class TestRank:
         assert main(["rank", str(p), "--json", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["support"] is payload["weights"] is payload["distance"] is None
+
+    def test_json_reports_the_clamped_dust(self, fixture_file, tmp_path, capsys):
+        # a feasible rank-3 product whose same-rank correction zeroes
+        # negative dust in V; the lift of TIGHT_2x3 clamps nothing
+        rng = np.random.default_rng(6)
+        M = rng.standard_normal((8, 3)) @ rng.random((3, 12))
+        p, out = tmp_path / "m.csv", tmp_path / "report.json"
+        write_csv(p, M)
+        clamped = semi_rank(M).factorization.clamped
+        assert clamped > 0.0
+        for path, want in ((p, clamped), (fixture_file, 0.0)):
+            assert main(["rank", str(path), "--json", str(out)]) == 0
+            assert json.loads(out.read_text())["clamped"] == want
+            assert "clamped" not in capsys.readouterr().out
 
     def test_nnls_iteration_limit_exits_3(self, fixture_file, capsys, monkeypatch):
         import seminmf.halfspace
@@ -337,10 +353,11 @@ class TestBench:
         [
             ("generator=noisy_semi m=abc n=10 r=2 delta=1", "m: expected integer, got 'abc'"),
             ("generator=semi_nonneg m=8 n=10 r=x", "r: expected integer, got 'x'"),
+            ("generator=semi_nonneg m=50 n=100 r=45", "inner_dim: 55 invalid for semi_nonneg"),
             ("generator=nonnegative m=8 n=10 r=2 restarts=2", "unknown key 'restarts'"),
             ("generator=nonnegative m=8 n=10 r=2 fast", "token 'fast' is not key=value"),
         ],
-        ids=["m", "inner_dim-default", "restarts", "token"],
+        ids=["m", "inner_dim-default", "inner_dim-default-too-big", "restarts", "token"],
     )
     def test_bad_field_reported_once(self, tmp_path, capsys, line, message):
         suite = tmp_path / "bad.cfg"
@@ -351,9 +368,10 @@ class TestBench:
     @pytest.mark.parametrize(
         "text, args, message",
         [
-            ("# only a comment\n\n", [], "no suite configs found"),
-            (SUITE_TEXT, ["--trials", "0"], "--trials must be >= 1"),
-            (SUITE_TEXT, ["--jobs", "0"], "--jobs must be >= 1"),
+            ("# only a comment\n\n", [], "{suite}: no suite configs found"),
+            # run_experiment's own checks, worded as the library words them
+            (SUITE_TEXT, ["--trials", "0"], "trials must be >= 1"),
+            (SUITE_TEXT, ["--jobs", "0"], "jobs must be >= 1"),
         ],
         ids=["no-configs", "trials", "jobs"],
     )
@@ -362,7 +380,7 @@ class TestBench:
         suite.write_text(text)
         args = ["bench", "--suite", str(suite), "--trials", "1", "--out", "/dev/null", *args]
         assert main(args) == 2
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message.format(suite=suite)}\n"
 
     def test_csv_on_stdout_without_out(self, tmp_path, capsys):
         suite = tmp_path / "suite.cfg"
@@ -393,3 +411,20 @@ class TestBench:
         suite.write_text("generator=semi_nonneg m=20 n=30 r=5\n")
         cfgs = parse_suite_file(suite)
         assert cfgs[0].inner_dim == 15
+        # the default is the library's, so the name carries it too
+        cfg = parse_suite_line("generator=semi_nonneg m=50 n=100 r=10", 1)
+        assert cfg == TrialConfig("semi_nonneg", 50, 100, 10)
+        assert cfg.inner_dim == 20 and cfg.name == "semi_nonneg-m50-n100-r10-k20"
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_presets_equal_the_explicit_inner_dim(self, preset):
+        p = PRESETS[preset]
+        explicit = []
+        for r in p["ranks"]:
+            explicit.append(TrialConfig("nonnegative", p["m"], p["n"], r))
+            explicit.append(TrialConfig("semi_nonneg", p["m"], p["n"], r, inner_dim=r + 10))
+            for delta in (5.0, 10.0, float("inf")):
+                explicit.append(TrialConfig("noisy_semi", p["m"], p["n"], r, delta=delta))
+        cfgs = preset_configs(preset)
+        assert cfgs == explicit
+        assert [c.name for c in cfgs] == [c.name for c in explicit]

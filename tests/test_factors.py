@@ -20,6 +20,8 @@ from seminmf.halfspace import (
 )
 from seminmf.linalg import pow2_scale, random_gaussian, random_uniform, thin_svd
 
+from oracles import oracle_sign_flip
+
 TIGHT_2x3 = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
 ASYM_3x3 = np.array([[-1.0, 0.0, -1.0], [0.0, -1.0, -1.0], [1.0, 1.0, 2.0]])
 
@@ -100,6 +102,27 @@ class TestSignFlip:
             B = random_gaussian(5, 7, seed=seed)
             _, B2 = sign_flip(np.eye(5), B)
             assert np.all(B2.max(axis=1) > 0)
+
+    @pytest.mark.parametrize("k", [-600, 0, 600])
+    def test_matches_the_row_loop_oracle(self, k):
+        rng = np.random.default_rng(k + 600)
+        B = np.ldexp(rng.standard_normal((9, 6)), k)
+        B[0] = np.ldexp([1.0, -1.0, 0.5, -0.5, 0.0, 0.0], k)  # tie: min = -max
+        B[1] = np.ldexp([-2.0, 2.0, 1.0, 0.0, -1.0, 0.0], k)  # tie through a zero
+        B[2] = 0.0
+        B[3] = -0.0
+        B[4] = [0.0, -0.0, 0.0, -0.0, 0.0, -0.0]
+        B[5] = np.abs(B[5])
+        B[6] = -np.abs(B[6])
+        A = np.ldexp(rng.standard_normal((4, 9)), k)
+        A[:, 3] = -0.0
+        cases = [(A, B), (A[:, :0], B[:0]), (A, B[:, :0]), (A[:, :1], B[:1])]
+        for A_, B_ in cases:
+            got, want = sign_flip(A_, B_), oracle_sign_flip(A_, B_)
+            for x, y in zip(got, want):
+                assert x.shape == y.shape
+                # bitwise, so the sign of every zero counts too
+                assert x.tobytes() == y.tobytes()
 
 
 class TestExactSameRank:

@@ -105,6 +105,19 @@ class TestKnownSolutions:
         assert res.objective == pytest.approx(0.0)
         assert res.x[0] == pytest.approx(1.0)
 
+    def test_drive_out_pivots_are_counted(self, monkeypatch):
+        # phase 1 ends after one pivot with two artificials basic at zero;
+        # driving them out takes two more pivots, and every one counts
+        calls = []
+        pivot = seminmf.simplex._pivot
+        monkeypatch.setattr(
+            seminmf.simplex, "_pivot", lambda *args: (calls.append(args[2:]), pivot(*args))
+        )
+        A = [[1, 1, 0, 0], [1, 0, 1, 0], [2, 0, 0, 1]]
+        res = simplex_min([-1, 0, 0, 0], A, [1, 1, 2])
+        assert res.objective == -1.0
+        assert len(calls) == res.iterations == 3
+
 
 class TestRandomAgainstVertexOracle:
     def test_random_lps(self):
