@@ -32,7 +32,6 @@ from .halfspace import (
     HalfspaceCertificate,
     bisection_epsilon,
     closed_form_certificate,
-    halfspace_feasible,
     lp_feasibility,
     nnls_certificate,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "gen_noisy_semi",
     "gen_nonnegative",
     "gen_semi_nonneg",
-    "halfspace_feasible",
     "init_a2",
     "init_a3",
     "init_km",

@@ -119,9 +119,14 @@ def _generate(cfg: "TrialConfig", seed: int) -> np.ndarray:
 # experiment runner
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool (bool subclasses int)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _default_inner_dim(generator, r, inner_dim):
     """``inner_dim``, or the semi_nonneg default if None (None while r is not an int)."""
-    if inner_dim is None and generator == "semi_nonneg" and isinstance(r, int):
+    if inner_dim is None and generator == "semi_nonneg" and _is_int(r):
         return r + 10
     return inner_dim
 
@@ -129,42 +134,53 @@ def _default_inner_dim(generator, r, inner_dim):
 def config_problems(fields: dict) -> list[str]:
     """Validate a config dict; fields left out take their TrialConfig defaults.
 
-    Returns one message per offending field, led by the field's name and a colon.
+    Returns one message per offending field, led by the field's name and a
+    colon, and raises nothing on malformed values.
     """
     f = {d.name: d.default for d in dataclasses.fields(TrialConfig) if d.default is not MISSING}
     f.update(fields)
     errs = []
     gen = f.get("generator")
-    if gen not in GENERATOR_KINDS:
+    if not (isinstance(gen, str) and gen in GENERATOR_KINDS):
         errs.append(f"generator: unknown kind {gen!r}")
+        gen = None
     for key in ("m", "n", "r"):
-        if not isinstance(f.get(key), int):
+        if not _is_int(f.get(key)):
             errs.append(f"{key}: missing or not an integer")
     m, n, r = f.get("m"), f.get("n"), f.get("r")
-    dims_ok = isinstance(m, int) and isinstance(n, int)
+    dims_ok = _is_int(m) and _is_int(n)
     if dims_ok and (m < 1 or n < 1):
         errs.append(f"m/n: must be positive, got {m}x{n}")
         dims_ok = False
-    if dims_ok and isinstance(r, int) and not 1 <= r <= min(m, n):
+    if dims_ok and _is_int(r) and not 1 <= r <= min(m, n):
         errs.append(f"r: {r} out of range for {m}x{n}")
     k, d = _default_inner_dim(gen, r, f.get("inner_dim")), f.get("delta")
     if gen == "semi_nonneg" and k is not None:
-        if not isinstance(k, int) or (dims_ok and not 1 <= k <= min(m, n)):
+        if not _is_int(k) or (dims_ok and not 1 <= k <= min(m, n)):
             errs.append(f"inner_dim: {k!r} invalid for semi_nonneg")
     elif gen in GENERATOR_KINDS and k is not None:
         errs.append(f"inner_dim: {gen} ignores it (semi_nonneg only)")
     if gen == "noisy_semi":
-        if not isinstance(d, (int, float)) or not d >= 0:
+        if isinstance(d, bool) or not isinstance(d, (int, float)) or not d >= 0:
             errs.append(f"delta: {d!r} invalid for noisy_semi")
     elif gen in GENERATOR_KINDS and d is not None:
         errs.append(f"delta: {gen} ignores it (noisy_semi only)")
-    for s in f["strategies"]:
-        if s not in STRATEGY_KINDS:
+    strategies, max_iter, checkpoints = f["strategies"], f["max_iter"], f["checkpoints"]
+    if not isinstance(strategies, (tuple, list)):
+        errs.append(f"strategies: expected a sequence of names, got {strategies!r}")
+        strategies = ()
+    for s in strategies:
+        if not (isinstance(s, str) and s in STRATEGY_KINDS):
             errs.append(f"strategies: unknown strategy {s!r}")
-    if not isinstance(f["max_iter"], int) or f["max_iter"] < 1:
+    max_iter_ok = _is_int(max_iter) and max_iter >= 1
+    if not _is_int(max_iter):
+        errs.append(f"max_iter: expected an integer, got {max_iter!r}")
+    elif not max_iter_ok:
         errs.append("max_iter: must be >= 1")
-    elif any(c < 0 or c > f["max_iter"] for c in f["checkpoints"]):
-        errs.append(f"checkpoints: must lie in [0, {f['max_iter']}]")
+    if not isinstance(checkpoints, (tuple, list)) or not all(map(_is_int, checkpoints)):
+        errs.append(f"checkpoints: expected a sequence of integers, got {checkpoints!r}")
+    elif max_iter_ok and any(not 0 <= c <= max_iter for c in checkpoints):
+        errs.append(f"checkpoints: must lie in [0, {max_iter}]")
     return errs
 
 
@@ -317,12 +333,14 @@ def run_experiment(
     ``jobs`` > 1 runs the trials on that many spawned worker processes
     (at most one per trial), so a script that calls this with jobs > 1
     needs the ``if __name__ == "__main__":`` guard; ``jobs`` = 1 runs
-    them in this process.  ``trials`` or ``jobs`` below 1 is a ValueError.
+    them in this process.  ``trials`` or ``jobs`` that is not an integer
+    (a bool is not), or is below 1, is a ValueError.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    for key, count in (("trials", trials), ("jobs", jobs)):
+        if not _is_int(count):
+            raise ValueError(f"{key} must be an integer, got {count!r}")
+        if count < 1:
+            raise ValueError(f"{key} must be >= 1")
     tasks = [(ci, cfg, ti) for ci, cfg in enumerate(configs) for ti in range(trials)]
     if jobs == 1:
         results = [_run_trial(cfg, ci, ti, master_seed) for ci, cfg, ti in tasks]

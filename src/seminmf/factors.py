@@ -24,7 +24,7 @@ return their factor pair and measure no error:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -176,10 +176,10 @@ def semi_rank(M) -> SemiRankReport:
     """Semi-nonnegative rank of M with an exact witnessing factorization.
 
     The rank is the numerical rank from the SVD.  The certificate tests
-    the nonzero columns of the rank-revealing right factor B, those kept
-    by ``nonzero_columns(B)`` (the same rule as the A3 bisection), first
-    in closed form (``closed_form_certificate``) and by NNLS
-    (``nnls_certificate``) only when that leaves the question open; when
+    the rank-revealing right factor B, first in closed form
+    (``closed_form_certificate``) and by NNLS (``nnls_certificate``) only
+    when that leaves the question open.  Both skip the columns that
+    ``nonzero_columns(B)`` drops, the same rule as the A3 bisection; when
     it is feasible the factorization keeps the same inner dimension,
     otherwise the lift adds one.  Either way the other columns of V are
     exactly zero, and the certificate's ``support`` indexes columns of M.
@@ -206,10 +206,7 @@ def semi_rank(M) -> SemiRankReport:
     keep = nonzero_columns(B)
     # zeroed, the dropped columns lift to exactly-zero columns of V
     A, B = sign_flip(A, np.where(keep, B, 0.0))
-    C = B[:, keep]
-    cert = closed_form_certificate(C) or nnls_certificate(C)
-    if cert.support is not None:
-        cert = replace(cert, support=np.flatnonzero(keep)[cert.support])
+    cert = closed_form_certificate(B) or nnls_certificate(B)
 
     if cert.feasible:
         U, V, clamped = exact_semi_nmf_same_rank(A, B, cert.z)

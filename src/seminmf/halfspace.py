@@ -2,9 +2,13 @@
 
 A set of nonzero vectors lies in the interior of a common half space
 exactly when the system  c.z >= 1  (one inequality per vector) has a
-solution.  ``lp_feasibility`` settles that system by minimizing the
-uniform slack t in  c.z >= 1 - t,  t >= 0: the system is feasible iff
-the optimum t is zero (up to tolerance), and the optimal z is a witness.
+solution.  The three tests below apply one zero-column rule: they skip
+the columns ``nonzero_columns`` drops (2-norm at most ZERO_TOL times the
+largest absolute entry), and with none left the question is vacuous.
+
+``lp_feasibility`` settles that system by minimizing the uniform slack t
+in  c.z >= 1 - t,  t >= 0: the system is feasible iff the optimum t is
+zero (up to tolerance), and the optimal z is a witness.
 
 ``closed_form_certificate`` tries two fixed witnesses first, the first
 axis e1 and the centroid of the normalized columns.  On the right factor
@@ -52,7 +56,6 @@ __all__ = [
     "lp_feasibility",
     "closed_form_certificate",
     "nnls_certificate",
-    "halfspace_feasible",
     "bisection_epsilon",
 ]
 
@@ -66,20 +69,21 @@ class HalfspaceCertificate:
     """Outcome of a half-space interior containment test.
 
     When ``feasible``, ``z`` satisfies  c.z >= 1 - 1e-9  for every tested
-    column c and ``margin`` is the smallest such product (``inf`` when no
-    nonzero column was tested).  When infeasible, ``z`` and ``margin``
-    are None: no witness exists up to the deciding branch's tolerance.
-    ``pivots`` counts the simplex pivots spent on the test (0
-    when no LP was solved), and ``passes`` the NNLS passes (0 unless
-    ``method`` is ``"nnls"``).  ``method`` names the branch that decided:
+    column c (the input's columns that ``nonzero_columns`` keeps) and
+    ``margin`` is the smallest such product (``inf`` when no column was
+    kept).  When infeasible, ``z`` and ``margin`` are None: no witness
+    exists up to the deciding branch's tolerance.  ``pivots`` counts the
+    simplex pivots spent on the test (0 when no LP was solved), and
+    ``passes`` the NNLS passes (0 unless ``method`` is ``"nnls"``).
+    ``method`` names the branch that decided:
     ``"e1"`` or ``"centroid"`` (closed form), ``"nnls"`` (least
     distance), ``"lp"`` (simplex), or ``"vacuous"`` (no column to test).
 
     An infeasible ``"nnls"`` verdict carries its Gordan certificate:
     nonnegative ``weights`` summing to 1 on the columns ``support`` (at
-    most r + 1 of them), whose combination of the unit-normalized
-    columns has 2-norm ``distance``, zero up to rounding.  The three
-    fields are None otherwise.
+    most r + 1 column indices of the input), whose combination of the
+    unit-normalized columns has 2-norm ``distance``, zero up to rounding.
+    The three fields are None otherwise.
     """
 
     feasible: bool
@@ -115,15 +119,23 @@ def _vacuous(m: int) -> HalfspaceCertificate:
     return HalfspaceCertificate(feasible=True, z=np.ones(m), margin=np.inf, method="vacuous")
 
 
-def _normalized(C: np.ndarray):
-    """(C / s, its unit-normalized columns, s) with s = ``pow2_scale(C)``;
-    the division is exact, so nothing depends on a power-of-two scale of C."""
+def nonzero_columns(M: np.ndarray) -> np.ndarray:
+    """Mask of the columns whose 2-norm exceeds ZERO_TOL * max|M|."""
+    M = M / pow2_scale(M)
+    return np.linalg.norm(M, axis=0) > ZERO_TOL * float(np.max(np.abs(M), initial=0.0))
+
+
+def _normalized(columns):
+    """(C / s, its unit-normalized columns, s, kept) for the columns C of
+    ``columns`` that ``nonzero_columns`` keeps, at indices ``kept``, with
+    s = ``pow2_scale(C)``; the division is exact, so nothing depends on a
+    power-of-two scale of the input."""
+    C = as_matrix(columns, "columns")
+    kept = np.flatnonzero(nonzero_columns(C))
+    C = C[:, kept]
     s = pow2_scale(C)
     C = C / s
-    norms = np.linalg.norm(C, axis=0)
-    if np.any(norms == 0.0):
-        raise ValueError("containment tests require nonzero columns")
-    return C, C / norms, s
+    return C, C / np.linalg.norm(C, axis=0), s, kept
 
 
 def _verified_witness(C, Cn, s, y, method, pivots=0) -> HalfspaceCertificate | None:
@@ -153,23 +165,23 @@ def _verified_witness(C, Cn, s, y, method, pivots=0) -> HalfspaceCertificate | N
 def lp_feasibility(columns) -> HalfspaceCertificate:
     """Decide whether all columns lie in the interior of a common half space.
 
-    ``columns`` is an m-by-p matrix whose p columns must all be nonzero;
-    with p = 0 the test is vacuously feasible.  Solves  min t  subject
-    to  c_j.z >= b_j - t,  t >= 0  on the unit-normalized columns.  The
-    optimum separates cleanly: any witness can be scaled until t = 0,
-    while infeasibility forces some product nonpositive and hence
-    t >= min b.  The right-hand sides carry a deterministic spread (b_j
-    slightly above 1) so the infeasible optimum vertex is not
-    degenerate, which keeps the pivot count small.  The optimal z passes
-    the witness rule of ``_verified_witness``, or ``NumericalError`` is
-    raised.  The columns are first divided by ``pow2_scale`` (exact), so
-    nothing depends on a power-of-two scale of the input.
+    ``columns`` is an m-by-n matrix; its p columns that ``nonzero_columns``
+    keeps are tested, and with p = 0 the test is vacuously feasible.
+    Solves  min t  subject to  c_j.z >= b_j - t,  t >= 0  on the
+    unit-normalized columns.  The optimum separates cleanly: any witness
+    can be scaled until t = 0, while infeasibility forces some product
+    nonpositive and hence t >= min b.  The right-hand sides carry a
+    deterministic spread (b_j slightly above 1) so the infeasible optimum
+    vertex is not degenerate, which keeps the pivot count small.  The
+    optimal z passes the witness rule of ``_verified_witness``, or
+    ``NumericalError`` is raised.  The columns are first divided by
+    ``pow2_scale`` (exact), so nothing depends on a power-of-two scale of
+    the input.
     """
-    C = as_matrix(columns, "columns")
+    C, Cn, s, _ = _normalized(columns)
     m, p = C.shape
     if p == 0:
         return _vacuous(m)
-    C, Cn, s = _normalized(C)
 
     # variables: z+ (m), z- (m), t (1), slack s (p)
     # constraint j:  c_j.(z+ - z-) + t - s_j = b_j,   minimize t
@@ -196,15 +208,14 @@ def closed_form_certificate(columns) -> HalfspaceCertificate | None:
     """Feasible certificate from a fixed witness, or None when undecided.
 
     Tries y = e1, then the centroid y = sum_j c_j / ||c_j||, on the
-    columns (all nonzero), each under the witness rule of
-    ``_verified_witness``.  None says nothing about feasibility: the LP
-    has to settle it.
+    columns that ``nonzero_columns`` keeps, each under the witness rule of
+    ``_verified_witness``.  None, also when no column is kept, says
+    nothing about feasibility: the LP has to settle it.
     """
-    C = as_matrix(columns, "columns")
+    C, Cn, s, _ = _normalized(columns)
     m, p = C.shape
     if p == 0:
         return None
-    C, Cn, s = _normalized(C)
     for method, y in (("e1", np.eye(m)[0]), ("centroid", Cn.sum(axis=1))):
         cert = _verified_witness(C, Cn, s, y, method)
         if cert is not None:
@@ -297,15 +308,16 @@ def _nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, int]:
 def nnls_certificate(columns) -> HalfspaceCertificate:
     """Decide half-space containment as a least-distance problem.
 
-    ``columns`` is an m-by-p matrix of nonzero columns, divided by
-    ``pow2_scale`` (exact) and unit-normalized as in ``lp_feasibility``:
-    Cn = C / ||c||.  Nonnegative least squares on min ||E mu - f||, with
-    E = [Cn; 1^T] and f = e_{m+1}, has m + 1 rows.  With g = mu / 1.mu,
+    The columns C of ``columns`` that ``nonzero_columns`` keeps are
+    divided by ``pow2_scale`` (exact) and unit-normalized as in
+    ``lp_feasibility``: Cn = C / ||c||; with none kept the test is
+    vacuously feasible.  Nonnegative least squares on min ||E mu - f||,
+    with E = [Cn; 1^T] and f = e_{m+1}, has m + 1 rows.  With g = mu / 1.mu,
     y = Cn g is the point of conv(Cn) nearest the origin, and the
     direction of y has the largest normalized margin.  y is accepted as
     a witness by the rule of ``_verified_witness``; otherwise the verdict
-    is infeasible and the certificate carries the support of g, its
-    weights and the distance ||Cn g||.
+    is infeasible and the certificate carries the support of g, as column
+    indices of ``columns``, its weights and the distance ||Cn g||.
 
     Limit: the normalized margin of y is ||y||^2 in exact arithmetic,
     while y carries rounding of order machine epsilon times the
@@ -319,11 +331,10 @@ def nnls_certificate(columns) -> HalfspaceCertificate:
     Raises ``NumericalError`` when NNLS exceeds ``NNLS_MAX_ITER`` passes
     per column.
     """
-    C = as_matrix(columns, "columns")
+    C, Cn, s, kept = _normalized(columns)
     m, p = C.shape
     if p == 0:
         return _vacuous(m)
-    C, Cn, s = _normalized(C)
     mu, passes = _nnls(np.vstack([Cn, np.ones((1, p))]), np.eye(m + 1)[m])
     support = np.flatnonzero(mu)
     g = mu[support] / mu[support].sum()
@@ -331,28 +342,11 @@ def nnls_certificate(columns) -> HalfspaceCertificate:
     cert = _verified_witness(C, Cn, s, y, "nnls") or HalfspaceCertificate(
         feasible=False,
         method="nnls",
-        support=support,
+        support=kept[support],
         weights=g,
         distance=float(np.linalg.norm(y)),
     )
     return replace(cert, passes=passes)
-
-
-def nonzero_columns(M: np.ndarray) -> np.ndarray:
-    """Mask of the columns whose 2-norm exceeds ZERO_TOL * max|M|."""
-    M = M / pow2_scale(M)
-    return np.linalg.norm(M, axis=0) > ZERO_TOL * float(np.max(np.abs(M), initial=0.0))
-
-
-def halfspace_feasible(M) -> HalfspaceCertificate:
-    """Containment test for the nonzero columns of M.
-
-    Columns with 2-norm at most ``ZERO_TOL`` times the largest absolute
-    entry of M count as zero and are excluded; with no columns left the
-    test is vacuously feasible.
-    """
-    M = as_matrix(M, "M")
-    return lp_feasibility(M[:, nonzero_columns(M)])
 
 
 def bisection_epsilon(B) -> BisectionResult:
@@ -376,8 +370,7 @@ def bisection_epsilon(B) -> BisectionResult:
 
     # B + 0.0, as at every other eps, turns -0.0 entries into 0.0
     B0 = B + 0.0
-    C0 = B0[:, nonzero_columns(B0)]
-    cert0 = closed_form_certificate(C0) or lp_feasibility(C0)
+    cert0 = closed_form_certificate(B0) or lp_feasibility(B0)
     lp_calls = int(cert0.pivots > 0)
     pivots = cert0.pivots
     trace.append((0.0, cert0.feasible))
@@ -387,13 +380,12 @@ def bisection_epsilon(B) -> BisectionResult:
     # B + eps_plus >= 0, so y = 1 passes: min_j ||Cn_j||_1 >= 1 > ZERO_TOL * sqrt(m);
     # a nonzero column is left, or B would be constant and feasible at eps = 0
     eps_lo, eps_hi = 0.0, eps_plus
-    top = B + eps_plus
-    C, Cn, s = _normalized(top[:, nonzero_columns(top)])
+    C, Cn, s, _ = _normalized(B + eps_plus)
     y_hi = _verified_witness(C, Cn, s, np.ones(B.shape[0]), "ones").z
     trace.append((eps_plus, True))
     for _ in range(BISECTION_STEPS):
         mid = 0.5 * (eps_lo + eps_hi)
-        cert = halfspace_feasible(B + mid)
+        cert = lp_feasibility(B + mid)
         lp_calls += int(cert.pivots > 0)
         pivots += cert.pivots
         trace.append((mid, cert.feasible))

@@ -42,7 +42,7 @@ from seminmf.bench import (
 )
 from seminmf.cli import main
 from seminmf.factors import lift_rank_plus_one, semi_rank, sign_flip
-from seminmf.halfspace import bisection_epsilon, halfspace_feasible
+from seminmf.halfspace import bisection_epsilon, lp_feasibility
 from seminmf.initializers import InitStrategy, init_a2, initialize
 from seminmf.linalg import best_rank_error, random_gaussian, random_uniform, thin_svd
 from seminmf.matio import write_csv
@@ -316,7 +316,7 @@ def test_criterion_7_oracle_agreement():
     t0 = time.perf_counter()
     for seed in range(1, 201):
         M = random_gaussian(2, 6, seed=seed)
-        assert oracle_halfplane_2d(M) == halfspace_feasible(M).feasible, f"seed {seed}"
+        assert oracle_halfplane_2d(M) == lp_feasibility(M).feasible, f"seed {seed}"
 
     rng = np.random.default_rng(7)
     for _ in range(100):
@@ -351,7 +351,7 @@ def test_criterion_8_bisection_contract():
         keep = np.linalg.norm(shifted, axis=0) > 1e-12 * np.abs(shifted).max()
         if keep.any():
             assert np.min(shifted[:, keep].T @ res.y_star) >= 1.0 - 1e-9
-        feasible = halfspace_feasible(B).feasible
+        feasible = lp_feasibility(B).feasible
         assert (res.epsilon_star == 0.0) == feasible
         zero_count += res.epsilon_star == 0.0
     dt = time.perf_counter() - t0

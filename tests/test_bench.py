@@ -21,7 +21,7 @@ from seminmf.bench import (
     summarize,
 )
 from seminmf.factors import semi_rank
-from seminmf.halfspace import halfspace_feasible
+from seminmf.halfspace import lp_feasibility
 from seminmf.linalg import best_rank_error, random_gaussian, random_uniform, thin_svd
 from seminmf.solver import cd_semi_nmf
 
@@ -73,7 +73,7 @@ class TestGenerators:
         # witness z = (U+)' e certifies the product; the LP must agree
         for seed in range(100):
             M = gen_semi_nonneg(8, 12, 3, seed=seed)
-            assert halfspace_feasible(M).feasible
+            assert lp_feasibility(M).feasible
 
     def test_noisy_delta_zero_bit_exact(self):
         a = gen_noisy_semi(7, 9, 3, 0.0, seed=4)
@@ -146,8 +146,29 @@ class TestTrialConfig:
             ({"r": 6}, "r: 6 out of range for 5x5"),
             ({"max_iter": 0}, "max_iter: must be >= 1"),
             ({"max_iter": 10, "checkpoints": (5, 11)}, r"checkpoints: must lie in \[0, 10\]"),
+            # malformed values get one message each, and the validator raises nothing else
+            (
+                {"max_iter": 5, "checkpoints": (2.0,)},
+                r"^checkpoints: expected a sequence of integers, got \(2\.0,\)$",
+            ),
+            (
+                {"checkpoints": ("a",)},
+                r"^checkpoints: expected a sequence of integers, got \('a',\)$",
+            ),
+            ({"strategies": None}, "^strategies: expected a sequence of names, got None$"),
+            ({"r": True}, "^r: missing or not an integer$"),
+            ({"max_iter": 5.0}, r"^max_iter: expected an integer, got 5\.0$"),
         ],
-        ids=["r", "max_iter", "checkpoints"],
+        ids=[
+            "r",
+            "max_iter",
+            "checkpoints",
+            "checkpoint-float",
+            "checkpoint-str",
+            "strategies-none",
+            "r-bool",
+            "max_iter-float",
+        ],
     )
     def test_rejects_bad_field(self, fields, message):
         with pytest.raises(ValueError, match=message):
@@ -178,13 +199,22 @@ class TestRunExperiment:
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.quality_trace, rb.quality_trace)
 
-    @pytest.mark.parametrize("jobs", [0, -3])
-    def test_rejects_jobs_below_one_before_any_trial(self, monkeypatch, jobs):
+    @pytest.mark.parametrize(
+        "jobs, message",
+        [
+            (0, "^jobs must be >= 1$"),
+            (-3, "^jobs must be >= 1$"),
+            (1.5, r"^jobs must be an integer, got 1\.5$"),
+            (True, "^jobs must be an integer, got True$"),
+        ],
+        ids=["0", "-3", "1.5", "True"],
+    )
+    def test_rejects_jobs_below_one_before_any_trial(self, monkeypatch, jobs, message):
         def no_trial(*args):
             raise AssertionError("a trial ran")
 
         monkeypatch.setattr(seminmf.bench, "_run_trial", no_trial)
-        with pytest.raises(ValueError, match="^jobs must be >= 1$"):
+        with pytest.raises(ValueError, match=message):
             run_experiment([self.CFG], trials=1, master_seed=1, jobs=jobs)
 
     def test_trace_has_init_entry(self):
@@ -207,8 +237,12 @@ class TestRunExperiment:
         [
             (lambda M: run_starts(M, 2, [], 0, thin_svd(M)), "max_iter must be >= 1"),
             (lambda M: run_experiment([TestRunExperiment.CFG], 0, 1), "trials must be >= 1"),
+            (
+                lambda M: run_experiment([TestRunExperiment.CFG], 1.5, 1),
+                r"^trials must be an integer, got 1\.5$",
+            ),
         ],
-        ids=["max_iter", "trials"],
+        ids=["max_iter", "trials", "trials-float"],
     )
     def test_rejects_bad_counts(self, run, message):
         with pytest.raises(ValueError, match=message):
@@ -332,7 +366,7 @@ class TestOracleHalfplane:
     def test_agrees_with_lp_on_random_instances(self):
         for seed in range(1, 201):
             M = random_gaussian(2, 6, seed=seed)
-            assert oracle_halfplane_2d(M) == halfspace_feasible(M).feasible
+            assert oracle_halfplane_2d(M) == lp_feasibility(M).feasible
 
 
 class TestIllPosedFixture:

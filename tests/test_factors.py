@@ -14,7 +14,7 @@ from seminmf.factors import (
 from seminmf.halfspace import (
     ZERO_TOL,
     closed_form_certificate,
-    halfspace_feasible,
+    lp_feasibility,
     nnls_certificate,
     nonzero_columns,
 )
@@ -152,7 +152,7 @@ class TestExactSameRank:
             rng = np.random.default_rng(seed)
             M = rng.standard_normal((6, 3)) @ rng.random((3, 10))
             A, B = sign_flip(*thin_svd(M).pair(3))
-            cert = halfspace_feasible(B)
+            cert = lp_feasibility(B)
             assert cert.feasible
             alpha_parts = np.maximum(0.0, (-B / np.maximum(B.T @ cert.z, 1e-12)).max(axis=1))
             assert float(cert.z @ alpha_parts) > -1.0 + 1e-9
@@ -408,17 +408,17 @@ class TestSemiRank:
         for seed in range(12):
             M = random_gaussian(5, 9, seed=seed)
             rep = semi_rank(M)
-            assert halfspace_feasible(M).feasible == rep.certificate.feasible
+            assert lp_feasibility(M).feasible == rep.certificate.feasible
 
     def test_perturbation_preserves_feasibility(self):
         # columns closer to M than their half-space margin stay feasible
         rng = np.random.default_rng(13)
         for seed in range(10):
             M = random_gaussian(6, 4, seed=seed) @ random_uniform(4, 10, seed=seed + 50)
-            cert = halfspace_feasible(M)
+            cert = lp_feasibility(M)
             assert cert.feasible
             z = cert.z / np.linalg.norm(cert.z)
             margins = M.T @ z
             E = rng.standard_normal(M.shape)
             E *= 0.9 * margins / np.linalg.norm(E, axis=0)
-            assert halfspace_feasible(M + E).feasible
+            assert lp_feasibility(M + E).feasible

@@ -14,7 +14,6 @@ from seminmf.halfspace import (
     _nnls,
     bisection_epsilon,
     closed_form_certificate,
-    halfspace_feasible,
     lp_feasibility,
     nnls_certificate,
     nonzero_columns,
@@ -37,22 +36,24 @@ def check_witness(M, cert, zero_tol=1e-12):
 
 
 class TestHalfspaceFeasible:
+    """lp_feasibility on whole matrices, zero columns included."""
+
     def test_plane_spanning_columns_infeasible(self):
-        assert not halfspace_feasible(TIGHT_2x3).feasible
+        assert not lp_feasibility(TIGHT_2x3).feasible
 
     def test_antipodal_boundary_infeasible(self):
-        assert not halfspace_feasible(BOUNDARY_2x3).feasible
+        assert not lp_feasibility(BOUNDARY_2x3).feasible
 
     def test_positive_matrix_feasible(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
             M = rng.random((4, 7)) + 0.01
-            cert = halfspace_feasible(M)
+            cert = lp_feasibility(M)
             assert cert.feasible
             check_witness(M, cert)
 
     def test_zero_matrix_vacuous(self):
-        cert = halfspace_feasible(np.zeros((3, 4)))
+        cert = lp_feasibility(np.zeros((3, 4)))
         assert cert.feasible and cert.margin == np.inf
 
     def test_column_scaling_invariance(self):
@@ -61,15 +62,15 @@ class TestHalfspaceFeasible:
             M = random_gaussian(3, 6, seed=seed)
             scales = rng.uniform(0.2, 5.0, size=6)
             assert (
-                halfspace_feasible(M).feasible
-                == halfspace_feasible(M * scales).feasible
+                lp_feasibility(M).feasible
+                == lp_feasibility(M * scales).feasible
             )
 
     def test_zero_column_append_invariance(self):
         for seed in range(8):
             M = random_gaussian(3, 6, seed=seed)
             M_aug = np.hstack([M, np.zeros((3, 2))])
-            assert halfspace_feasible(M).feasible == halfspace_feasible(M_aug).feasible
+            assert lp_feasibility(M).feasible == lp_feasibility(M_aug).feasible
 
     def test_full_column_rank_feasible_on_right_factor(self):
         # a matrix of rank n has a positive vector in its row space, and
@@ -77,29 +78,49 @@ class TestHalfspaceFeasible:
         for seed in range(10):
             M = random_gaussian(9, 5, seed=seed)
             _, _, Vt = np.linalg.svd(M, full_matrices=False)
-            assert halfspace_feasible(Vt).feasible
+            assert lp_feasibility(Vt).feasible
+
+
+FEASIBLE_6x9 = random_gaussian(6, 3, seed=5) @ np.random.default_rng(1).random((3, 9))
+
+
+def with_zero_columns(C):
+    """C with an exact-zero column and, antipodal to its first column, a
+    column of relative size 1e-13 (below the zero-column rule) inserted."""
+    small = -1e-13 * np.abs(C).max() * C[:, 0] / np.linalg.norm(C[:, 0])
+    return np.insert(C, [1, 2], np.column_stack([np.zeros(C.shape[0]), small]), axis=1)
 
 
 class TestPowerOfTwoScale:
-    """Verdicts, pivots, witnesses and margins do not depend on a 2**k scale."""
+    """Verdicts, pivots, witnesses and margins do not depend on a 2**k scale,
+    nor on columns that the zero-column rule skips."""
 
     MATRICES = {
         "infeasible": random_gaussian(3, 9, seed=5),
-        "feasible": random_gaussian(6, 3, seed=5) @ np.random.default_rng(1).random((3, 9)),
+        "feasible": FEASIBLE_6x9,
+        "feasible-zero-columns": with_zero_columns(FEASIBLE_6x9),
     }
 
-    @pytest.mark.parametrize("test", [halfspace_feasible, lp_feasibility])
+    @pytest.mark.parametrize("test", [lp_feasibility])
     @pytest.mark.parametrize("kind", sorted(MATRICES))
     @pytest.mark.parametrize("k", [-600, -540, 540, 600])
     def test_extreme_scales_match_unit_scale(self, test, kind, k):
         M = self.MATRICES[kind]
         base, scaled = test(M), test(np.ldexp(M, k))
-        assert base.feasible == (kind == "feasible")
+        assert base.feasible == kind.startswith("feasible")
         assert scaled.feasible == base.feasible
         assert scaled.pivots == base.pivots > 0
         if base.feasible:
             assert np.array_equal(scaled.z, np.ldexp(base.z, -k))
             assert scaled.margin == base.margin
+        if kind == "feasible-zero-columns":
+            bare = test(np.ldexp(FEASIBLE_6x9, k))
+            assert (scaled.feasible, scaled.pivots, scaled.margin) == (
+                bare.feasible,
+                bare.pivots,
+                bare.margin,
+            )
+            assert np.array_equal(scaled.z, bare.z)
 
 
 class TestLpFeasibility:
@@ -113,9 +134,27 @@ class TestLpFeasibility:
         C = np.array([[1.0, -1.0], [2.0, -2.0]])
         assert not lp_feasibility(C).feasible
 
-    def test_rejects_zero_column(self):
-        with pytest.raises(ValueError, match="nonzero"):
-            lp_feasibility(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    def test_all_three_tests_skip_zero_columns(self):
+        # each test decides, witnesses and counts as on the columns alone
+        for C in (TIGHT_2x3, FEASIBLE_6x9):
+            padded = with_zero_columns(C)
+            for test in (closed_form_certificate, nnls_certificate, lp_feasibility):
+                a, b = test(C), test(padded)
+                if a is None:
+                    assert b is None
+                    continue
+                assert (b.feasible, b.method, b.pivots, b.passes) == (
+                    a.feasible,
+                    a.method,
+                    a.pivots,
+                    a.passes,
+                )
+                if a.feasible:
+                    assert np.array_equal(b.z, a.z) and b.margin == a.margin
+        # an NNLS Gordan support indexes the columns of its own input
+        assert nnls_certificate(TIGHT_2x3).support.tolist() == [0, 1, 2]
+        assert nnls_certificate(with_zero_columns(TIGHT_2x3)).support.tolist() == [0, 2, 4]
+        assert nnls_certificate(np.insert(TIGHT_2x3, 1, 0.0, axis=1)).support.tolist() == [0, 2, 3]
 
     def test_unit_vectors_within_half_plane(self):
         rng = np.random.default_rng(11)
@@ -541,7 +580,7 @@ class TestPivotCounts:
         assert simplex_pivots == [204, 244]
 
     def test_no_lp_means_no_pivots(self, simplex_pivots):
-        assert halfspace_feasible(np.zeros((3, 4))).pivots == 0
+        assert lp_feasibility(np.zeros((3, 4))).pivots == 0
         assert bisection_epsilon(np.zeros((3, 4))).pivots == 0
         assert simplex_pivots == []
 

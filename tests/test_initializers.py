@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from seminmf.bench import quality
-from seminmf.halfspace import halfspace_feasible, nonzero_columns
+from seminmf.halfspace import lp_feasibility, nonzero_columns
 from seminmf.initializers import InitStrategy, init_a2, init_a3, init_km, init_rd, initialize
 from seminmf.linalg import (
     best_rank_error,
@@ -118,7 +118,7 @@ class TestA3:
             r = 3
             _, B = sign_flip(*thin_svd(M).pair(r))
             _, _, bis = init_a3(M, r)
-            assert (bis.epsilon_star == 0.0) == halfspace_feasible(B).feasible
+            assert (bis.epsilon_star == 0.0) == lp_feasibility(B).feasible
 
     def test_rejects_bad_rank(self):
         with pytest.raises(ValueError, match="out of range"):
